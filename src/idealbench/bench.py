@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EvaluationBudget, make_rng
-from .estimation import DEFAULT_EPSILON, IdealEstimation, OffspringBatch
-from .generator import get_problem, preset_names
+from .core import EvaluationBudget, OffspringBatch, make_rng
+from .estimation import DEFAULT_EPSILON, IdealEstimation
+from .generator import get_problem
 from .hosts import BaselineEstimator, EstimatorConfig, HostConfig, make_host
-from .metrics import e_metric, hv_normalized, rank_sum_verdict
+from .metrics import e_metric, hv_normalized, midranks, rank_sum_verdict
 
 WORKERS_ENV = "IDEALBENCH_WORKERS"
 RAW_COLUMNS = ("problem", "host", "estimator", "seed", "fe_max", "e", "hv",
@@ -45,11 +45,17 @@ class RunConfig:
     fe_max: int = 50_000
     snapshot_every: int = 1_000
     epsilon: float = DEFAULT_EPSILON
-    e_metric_squared: bool = True
 
     def __post_init__(self):
         if self.fe_max <= self.host.population_size:
             raise ValueError("fe_max must exceed the population size")
+        # ut and drp act only through MoeadHost.z_ref; other hosts ignore it
+        if self.estimator.kind in ("ut", "drp") and self.host.kind != "moead":
+            raise ValueError(
+                f"estimator {self.estimator.kind!r} acts only through the moead "
+                f"host's reference point; on {self.host.kind!r} it would repeat "
+                "running-min"
+            )
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -60,7 +66,6 @@ class RunConfig:
                 "fe_max": self.fe_max,
                 "snapshot_every": self.snapshot_every,
                 "epsilon": self.epsilon,
-                "e_metric_squared": self.e_metric_squared,
             },
             sort_keys=True,
         )
@@ -125,7 +130,7 @@ def run_trial(config: RunConfig, seed: int, keep_population: bool = True) -> Run
         fs = host.pop_f
         if not np.isfinite(fs).all():
             raise RuntimeError("non-finite objective encountered")
-        e = e_metric(fs.min(axis=0), ideal, nadir, squared=config.e_metric_squared)
+        e = e_metric(fs.min(axis=0), ideal, nadir)
         hv = hv_normalized(fs, ideal, nadir)
         trajectory.append((budget.used, e, hv))
 
@@ -150,7 +155,6 @@ def run_trial(config: RunConfig, seed: int, keep_population: bool = True) -> Run
     if not trajectory or trajectory[-1][0] < budget.used:
         snapshot()
 
-    fe_used = component.evaluations_used if component is not None else 0
     final = trajectory[-1]
     return RunRecord(
         problem=config.problem,
@@ -160,7 +164,8 @@ def run_trial(config: RunConfig, seed: int, keep_population: bool = True) -> Run
         fe_max=config.fe_max,
         e_value=final[1],
         hv_value=final[2],
-        eie_fe_fraction=fe_used / budget.used if budget.used else 0.0,
+        eie_fe_fraction=(component.fe_fraction(budget.used)
+                         if component is not None else 0.0),
         trajectory=trajectory,
         config_digest=config.digest(),
         final_x=host.pop_x.copy() if keep_population else None,
@@ -293,27 +298,14 @@ def load_raw(path: str | Path) -> list:
     return rows
 
 
-def _average_ranks(means: list) -> list:
-    order = np.argsort(means, kind="stable")
-    ranks = np.empty(len(means))
-    i = 0
-    sorted_means = [means[j] for j in order]
-    while i < len(means):
-        j = i
-        while j < len(means) and sorted_means[j] == sorted_means[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks.tolist()
-
-
 def build_report(records: list, reference: str, alpha: float = 0.05) -> dict:
     """Per-problem comparison table against a reference column.
 
     Columns are host+estimator labels; per problem each column gets
     mean/std, an average-rank-friendly rank by mean, and a rank-sum verdict
     against the reference ('+' better, '=' comparable, '-' worse; smaller
-    is better for the estimation error, larger for hypervolume).
+    is better for the estimation error, larger for hypervolume).  A column
+    with no records on a problem has a NaN mean there and ranks last.
     """
     columns = sorted({f"{r.host}+{r.estimator}" for r in records})
     if reference not in columns:
@@ -336,7 +328,7 @@ def build_report(records: list, reference: str, alpha: float = 0.05) -> dict:
             means = [float(np.mean(series[c])) if series[c] else float("nan")
                      for c in columns]
             keyed = [(-mean if larger_better else mean) for mean in means]
-            ranks = _average_ranks(keyed)
+            ranks = midranks(keyed).tolist()
             cells = {}
             for c, mean, rank in zip(columns, means, ranks):
                 verdict = ""
@@ -382,6 +374,3 @@ def format_report(report: dict) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def all_problem_names() -> list:
-    return preset_names()

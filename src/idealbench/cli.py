@@ -10,11 +10,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bench import (RunConfig, all_problem_names, build_report, emit,
-                    default_fe_max, default_population_size, format_report,
-                    load_raw, run_suite)
+from .bench import (RunConfig, build_report, emit, default_fe_max,
+                    default_population_size, format_report, load_raw,
+                    run_suite)
 from .core import make_rng
-from .generator import get_problem, sample_pareto_front, sample_pareto_set
+from .generator import (get_problem, preset_names, sample_pareto_front,
+                        sample_pareto_set)
 from .hosts import ESTIMATOR_KINDS, HOST_KINDS, EstimatorConfig, HostConfig
 
 PF_GRID_DEFAULTS = {2: 1000, 3: 5151}
@@ -28,7 +29,7 @@ def main():
 @main.command("list-problems")
 def list_problems():
     """Print the names of all generated instances."""
-    for name in all_problem_names():
+    for name in preset_names():
         click.echo(name)
 
 
@@ -107,27 +108,30 @@ def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
     output_dir = pick(None, "output_dir", output_dir) if output_dir == "results" else output_dir
 
     configs = []
-    for prob_name in problems:
-        prob = get_problem(prob_name)
-        pop = pick(pop_size, "pop_size", default_population_size(prob.m))
-        fe = pick(fe_max, "fe_max", default_fe_max(prob.m))
-        if paper_protocol:
-            fe = 200_000 if prob.m == 2 else 400_000
-        for host_kind in hosts:
-            host_cfg = HostConfig(
-                kind=host_kind,
-                population_size=int(pop),
-                scalarization=pick(scalarization, "scalarization", "tchebycheff"),
-            )
-            for est_kind in estimators:
-                configs.append(RunConfig(
-                    problem=prob_name,
-                    host=host_cfg,
-                    estimator=EstimatorConfig(kind=est_kind),
-                    fe_max=int(fe),
-                    snapshot_every=int(pick(snapshot_every, "snapshot_every", 1000)),
-                    epsilon=float(pick(epsilon, "epsilon", 0.05)),
-                ))
+    try:
+        for prob_name in problems:
+            prob = get_problem(prob_name)
+            pop = pick(pop_size, "pop_size", default_population_size(prob.m))
+            fe = pick(fe_max, "fe_max", default_fe_max(prob.m))
+            if paper_protocol:
+                fe = 200_000 if prob.m == 2 else 400_000
+            for host_kind in hosts:
+                host_cfg = HostConfig(
+                    kind=host_kind,
+                    population_size=int(pop),
+                    scalarization=pick(scalarization, "scalarization", "tchebycheff"),
+                )
+                for est_kind in estimators:
+                    configs.append(RunConfig(
+                        problem=prob_name,
+                        host=host_cfg,
+                        estimator=EstimatorConfig(kind=est_kind),
+                        fe_max=int(fe),
+                        snapshot_every=int(pick(snapshot_every, "snapshot_every", 1000)),
+                        epsilon=float(pick(epsilon, "epsilon", 0.05)),
+                    ))
+    except (KeyError, ValueError) as exc:  # an unknown name or a rejected combination
+        raise click.UsageError(exc.args[0]) from exc
     click.echo(f"running {len(configs)} config(s) x {len(seed_list)} seed(s)")
     records = run_suite(configs, seed_list, parallelism=workers)
     done = [r for r in records if r is not None]

@@ -1,4 +1,6 @@
-"""Shared domain types: dominance relations, box bounds, and the RNG contract.
+"""Shared domain types and kernels: dominance relations and sorting, box
+bounds, simplex lattices, the offspring batch hosts and the estimation
+component exchange, and the RNG contract.
 
 Everything in this module is pure and operates on plain ``numpy`` arrays of
 float64.  Decision vectors are 1-D arrays of length ``n``; objective vectors
@@ -9,7 +11,7 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -58,30 +60,6 @@ class BoxBounds:
         return self.lower + u * (self.upper - self.lower)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A decision vector together with its cached objective vector."""
-
-    x: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
-
-
-class ProblemInstance(Protocol):
-    """An evaluable m-objective problem over a box-bounded decision space."""
-
-    m: int
-    n: int
-    bounds: BoxBounds
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray: ...
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray: ...
-
-
 def dominates(u: np.ndarray, v: np.ndarray) -> bool:
     """Pareto dominance: u is no worse everywhere and strictly better somewhere."""
     u = np.asarray(u, dtype=float)
@@ -91,21 +69,41 @@ def dominates(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.all(u <= v) and np.any(u < v))
 
 
-def non_dominated_filter(objs: np.ndarray) -> np.ndarray:
-    """Indices of the non-dominated members of a set, in stable input order.
-
-    A vectorized all-pairs check; fine for the set sizes this package deals
-    with (populations of a few hundred).
-    """
-    objs = np.asarray(objs, dtype=float)
-    if objs.ndim != 2 or objs.shape[0] == 0:
+def fast_non_dominated_sort(objs: np.ndarray) -> list:
+    """Partition into dominance fronts (arrays of indices in input order,
+    best first); ``fast_non_dominated_sort(objs)[0]`` is the non-dominated
+    subset."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    if objs.shape[0] == 0:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
-    k = objs.shape[0]
     le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
     lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dominated_by = le & lt  # [i, j] True when i dominates j
-    is_dominated = dominated_by.any(axis=0)
-    return np.flatnonzero(~is_dominated)
+    dom = le & lt  # [i, j]: i dominates j
+    n_dom = dom.sum(axis=0).astype(int)
+    fronts = []
+    current = np.flatnonzero(n_dom == 0)
+    while current.size:
+        fronts.append(current)
+        n_dom[current] = -1
+        n_dom -= dom[current].sum(axis=0)
+        current = np.flatnonzero(n_dom == 0)
+    return fronts
+
+
+def simplex_lattice(m: int, h: int) -> np.ndarray:
+    """Points of the unit simplex whose coordinates are multiples of 1/h:
+    h + 1 of them for m = 2, (h + 1)(h + 2)/2 for m = 3."""
+    if m == 2:
+        t = np.linspace(0.0, 1.0, h + 1)
+        return np.column_stack([t, 1.0 - t])
+    if m == 3:
+        pts = [
+            (i / h, j / h, (h - i - j) / h)
+            for i in range(h + 1)
+            for j in range(h + 1 - i)
+        ]
+        return np.asarray(pts, dtype=float)
+    raise ValueError("simplex lattices support m in {2, 3}")
 
 
 def clamp_to_bounds(x: np.ndarray, bounds: BoxBounds) -> np.ndarray:
@@ -148,3 +146,20 @@ class EvaluationBudget:
         out = self._eval(xs[:take])
         self.used += take
         return out
+
+
+@dataclass
+class OffspringBatch:
+    """Evaluated offspring of one iteration, tagged by producer."""
+
+    xs: np.ndarray
+    fs: np.ndarray
+    owner: np.ndarray  # subproblem index per row, -1 for host offspring
+
+    @classmethod
+    def empty(cls, n: int, m: int) -> "OffspringBatch":
+        return cls(np.empty((0, n)), np.empty((0, m)), np.empty(0, dtype=int))
+
+    @property
+    def size(self) -> int:
+        return self.xs.shape[0]

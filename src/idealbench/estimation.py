@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmaes import CmaProcedure
-from .core import EvaluationBudget
+from .core import EvaluationBudget, OffspringBatch
 
 DEFAULT_EPSILON = 0.05
 NORMALIZATION_GUARD = 1e-12
@@ -75,32 +75,6 @@ def ews_fitness(
     """Subproblem values of a batch of objective vectors."""
     scaled = normalize_objectives(np.atleast_2d(objs), z_min, z_max)
     return scaled @ sub.weights
-
-
-def estimate_ideal(objs: np.ndarray) -> np.ndarray:
-    """Componentwise minimum of a set of objective vectors."""
-    objs = np.atleast_2d(np.asarray(objs, dtype=float))
-    if objs.shape[0] == 0:
-        raise ValueError("population must be non-empty")
-    return objs.min(axis=0)
-
-
-@dataclass
-class OffspringBatch:
-    """Evaluated offspring of one iteration, tagged by producing subproblem."""
-
-    xs: np.ndarray
-    fs: np.ndarray
-    owner: np.ndarray  # subproblem index per row, -1 for host offspring
-    truncated: bool = False
-
-    @classmethod
-    def empty(cls, n: int, m: int) -> "OffspringBatch":
-        return cls(np.empty((0, n)), np.empty((0, m)), np.empty(0, dtype=int))
-
-    @property
-    def size(self) -> int:
-        return self.xs.shape[0]
 
 
 class IdealEstimation:
@@ -167,35 +141,28 @@ class IdealEstimation:
     ) -> OffspringBatch:
         """Ask every live subproblem search and evaluate the union on the
         true problem, charging the shared budget.  Returns an empty batch
-        once every subproblem has terminated; a batch cut short by the
-        budget is flagged truncated."""
+        once every subproblem has terminated.  When the budget runs short the
+        batch ends with the first search it cannot pay for in full, cut to
+        the rows it can."""
         m, n = self.problem.m, self.problem.n
         xs_parts, owner_parts = [], []
-        truncated = False
         allowance = budget.remaining
         for i in range(m):
             if self.terminated[i]:
                 continue
             if allowance == 0:
-                truncated = True
                 break
             asked = self.procedures[i].ask(rng)
             take = min(asked.shape[0], allowance)
             allowance -= take
-            if take < asked.shape[0]:
-                truncated = True
             xs_parts.append(asked[:take])
             owner_parts.append(np.full(take, i, dtype=int))
-            if truncated:
-                break
         if not xs_parts:
-            batch = OffspringBatch.empty(n, m)
-            batch.truncated = truncated
-            return batch
+            return OffspringBatch.empty(n, m)
         xs = np.vstack(xs_parts)
         fs = budget.evaluate(xs)
         self.evaluations_used += xs.shape[0]
-        return OffspringBatch(xs, fs, np.concatenate(owner_parts), truncated)
+        return OffspringBatch(xs, fs, np.concatenate(owner_parts))
 
     def update(
         self,
@@ -213,13 +180,9 @@ class IdealEstimation:
         a conventional one.
         """
         self._refresh_normalization(pop_fs)
-        all_xs = np.vstack([o1.xs, o2.xs]) if o2.size else o1.xs
-        all_fs = np.vstack([o1.fs, o2.fs]) if o2.size else o1.fs
-        all_owner = (
-            np.concatenate([o1.owner, np.full(o2.size, -1, dtype=int)])
-            if o2.size
-            else o1.owner
-        )
+        all_xs = np.vstack([o1.xs, o2.xs])
+        all_fs = np.vstack([o1.fs, o2.fs])
+        all_owner = np.concatenate([o1.owner, o2.owner])
         for i in range(self.problem.m):
             if self.terminated[i]:
                 continue

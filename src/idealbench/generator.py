@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxBounds
+from .core import BoxBounds, simplex_lattice
 
 _THIRD = 1.0 / 3.0
 
@@ -287,21 +287,13 @@ def sample_pareto_set(
 
 
 def _simplex_lattice(m: int, count: int) -> np.ndarray:
-    if m == 2:
-        t = np.linspace(0.0, 1.0, max(count, 2))
-        return np.column_stack([t, 1.0 - t])
+    h = max(count, 2) - 1
     if m == 3:
         # smallest lattice resolution with at least `count` nodes
         h = 1
         while (h + 1) * (h + 2) // 2 < count:
             h += 1
-        pts = [
-            (i / h, j / h, (h - i - j) / h)
-            for i in range(h + 1)
-            for j in range(h + 1 - i)
-        ]
-        return np.asarray(pts, dtype=float)
-    raise ValueError("simplex grids support m in {2, 3}")
+    return simplex_lattice(m, h)
 
 
 def sample_pareto_front(

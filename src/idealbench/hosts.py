@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxBounds, EvaluationBudget, clamp_to_bounds
-from .estimation import OffspringBatch
+from .core import (BoxBounds, EvaluationBudget, OffspringBatch,
+                   clamp_to_bounds, fast_non_dominated_sort, simplex_lattice)
 from .metrics import hv_exact
 
 HOST_KINDS = ("nsga2", "moead", "smsemoa")
-ESTIMATOR_KINDS = ("none", "running-min", "ut", "drp", "eie", "eie-separate")
+ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
@@ -59,8 +59,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.kind!r}")
-        if self.kind == "none":  # alias: plain running minimum
-            object.__setattr__(self, "kind", "running-min")
 
 
 # -- variation ------------------------------------------------------------
@@ -137,24 +135,26 @@ def _distinct_triplets(
     return out
 
 
+def _initial_population(problem, size: int, budget: EvaluationBudget,
+                        rng: np.random.Generator) -> tuple:
+    """Uniform random members, evaluated as far as the budget allows."""
+    xs = problem.bounds.sample(size, rng)
+    fs = budget.evaluate(xs)
+    return xs[: fs.shape[0]], fs
+
+
+def _evaluate_offspring(problem, children: np.ndarray,
+                        budget: EvaluationBudget) -> OffspringBatch:
+    """Host children evaluated as far as the budget allows; the unpaid rest
+    is dropped."""
+    fs = budget.evaluate(children)
+    if fs.shape[0] == 0:
+        return OffspringBatch.empty(problem.n, problem.m)
+    return OffspringBatch(children[: fs.shape[0]], fs,
+                          np.full(fs.shape[0], -1, dtype=int))
+
+
 # -- dominance-based host --------------------------------------------------
-
-
-def fast_non_dominated_sort(objs: np.ndarray) -> list:
-    """Partition into dominance fronts (lists of indices, best first)."""
-    objs = np.atleast_2d(np.asarray(objs, dtype=float))
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt  # [i, j]: i dominates j
-    n_dom = dom.sum(axis=0).astype(int)
-    fronts = []
-    current = np.flatnonzero(n_dom == 0)
-    while current.size:
-        fronts.append(current)
-        n_dom[current] = -1
-        n_dom -= dom[current].sum(axis=0)
-        current = np.flatnonzero(n_dom == 0)
-    return fronts
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -206,9 +206,7 @@ class Nsga2Host:
         self.config = config
         self.pop_size = config.population_size
         self.z_ref = None  # dominance selection ignores the reference point
-        xs = problem.bounds.sample(self.pop_size, rng)
-        fs = budget.evaluate(xs)
-        self.pop_x, self.pop_f = xs[: fs.shape[0]], fs
+        self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
@@ -235,14 +233,10 @@ class Nsga2Host:
             rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
             pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
         )
-        child_f = budget.evaluate(children)
-        children = children[: child_f.shape[0]]
-        o2 = OffspringBatch(
-            children, child_f, np.full(children.shape[0], -1, dtype=int)
-        ) if children.shape[0] else OffspringBatch.empty(self.problem.n, self.problem.m)
+        o2 = _evaluate_offspring(self.problem, children, budget)
 
-        pool_x = np.vstack([self.pop_x, o1.xs, o2.xs]) if (o1.size or o2.size) else self.pop_x
-        pool_f = np.vstack([self.pop_f, o1.fs, o2.fs]) if (o1.size or o2.size) else self.pop_f
+        pool_x = np.vstack([self.pop_x, o1.xs, o2.xs])
+        pool_f = np.vstack([self.pop_f, o1.fs, o2.fs])
         keep = nsga2_select(pool_f, self.pop_size)
         self.pop_x, self.pop_f = pool_x[keep], pool_f[keep]
         return o2
@@ -254,20 +248,12 @@ class Nsga2Host:
 def simplex_lattice_weights(m: int, count: int) -> np.ndarray:
     """Weight vectors on the unit simplex; for m = 3 the size snaps to the
     largest full lattice not exceeding ``count``."""
-    if m == 2:
-        t = np.linspace(0.0, 1.0, count)
-        return np.column_stack([t, 1.0 - t])
+    h = count - 1
     if m == 3:
         h = 1
         while (h + 2) * (h + 3) // 2 <= count:
             h += 1
-        pts = [
-            (i / h, j / h, (h - i - j) / h)
-            for i in range(h + 1)
-            for j in range(h + 1 - i)
-        ]
-        return np.asarray(pts, dtype=float)
-    raise ValueError("weight lattices support m in {2, 3}")
+    return simplex_lattice(m, h)
 
 
 def scalarized_fitness(
@@ -335,10 +321,8 @@ class MoeadHost:
             self.weights[:, None, :] - self.weights[None, :, :], axis=2
         )
         self.neighbors = np.argsort(d, kind="stable", axis=1)[:, :t_size]
-        xs = problem.bounds.sample(self.pop_size, rng)
-        fs = budget.evaluate(xs)
-        self.pop_x, self.pop_f = xs[: fs.shape[0]], fs
-        self.z_ref = fs.min(axis=0)
+        self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
+        self.z_ref = self.pop_f.min(axis=0)
 
     def _scale(self) -> np.ndarray:
         return np.maximum(self.pop_f.max(axis=0) - self.z_ref, RANGE_GUARD)
@@ -357,17 +341,11 @@ class MoeadHost:
             rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
             pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
         )
-        child_f = budget.evaluate(children)
-        children = children[: child_f.shape[0]]
-        o2 = OffspringBatch(
-            children, child_f, np.full(children.shape[0], -1, dtype=int)
-        ) if children.shape[0] else OffspringBatch.empty(self.problem.n, self.problem.m)
-
-        if o1.size or o2.size:
-            pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
-            pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
-        else:
+        o2 = _evaluate_offspring(self.problem, children, budget)
+        if not (o1.size or o2.size):
             return o2
+        pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
+        pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
         fitness = scalarized_fitness(
             pool_f, self.weights, self.z_ref, self._scale(), cfg.scalarization
         )
@@ -418,9 +396,7 @@ class SmsEmoaHost:
         self.config = config
         self.pop_size = config.population_size
         self.z_ref = None
-        xs = problem.bounds.sample(self.pop_size, rng)
-        fs = budget.evaluate(xs)
-        self.pop_x, self.pop_f = xs[: fs.shape[0]], fs
+        self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:
         pool_x = np.vstack([self.pop_x, x])
@@ -437,7 +413,7 @@ class SmsEmoaHost:
         cfg = self.config
         for row in range(o1.size):
             self._insert(o1.xs[row], o1.fs[row])
-        xs_parts, fs_parts = [], []
+        children = []
         for _ in range(self.pop_size):
             if budget.exhausted:
                 break
@@ -450,17 +426,14 @@ class SmsEmoaHost:
                 rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
                 pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
             )
-            child_f = budget.evaluate(child)
-            if child_f.shape[0] == 0:
-                break
-            xs_parts.append(child[0])
-            fs_parts.append(child_f[0])
-            self._insert(child[0], child_f[0])
-        if xs_parts:
-            xs = np.asarray(xs_parts)
-            fs = np.asarray(fs_parts)
-            return OffspringBatch(xs, fs, np.full(xs.shape[0], -1, dtype=int))
-        return OffspringBatch.empty(self.problem.n, self.problem.m)
+            o = _evaluate_offspring(self.problem, child, budget)
+            self._insert(o.xs[0], o.fs[0])
+            children.append(o)
+        if not children:
+            return OffspringBatch.empty(self.problem.n, self.problem.m)
+        return OffspringBatch(np.vstack([o.xs for o in children]),
+                              np.vstack([o.fs for o in children]),
+                              np.concatenate([o.owner for o in children]))
 
 
 def make_host(problem, config: HostConfig, budget: EvaluationBudget,

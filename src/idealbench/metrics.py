@@ -6,18 +6,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-run metric bundle."""
-
-    e_value: float
-    hv_value: float
-    eie_fe_fraction: float
 
 
 def e_metric(
@@ -159,14 +149,18 @@ def hv_monte_carlo(
     return est, se
 
 
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
+def midranks(values) -> np.ndarray:
+    """1-based ascending ranks; tied values share the mean of their
+    positions, and NaNs form one tie ranked after every number."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")  # NaNs sort last
     ranks = np.empty(len(values))
     sorted_vals = values[order]
     i = 0
     while i < len(values):
         j = i
-        while j < len(values) and sorted_vals[j] == sorted_vals[i]:
+        while j < len(values) and (sorted_vals[j] == sorted_vals[i]
+                                   or np.isnan(sorted_vals[i])):
             j += 1
         ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0  # midrank, 1-based
         i = j
@@ -190,7 +184,7 @@ def wilcoxon_rank_sum(a, b) -> tuple:
     if n1 < 5 or n2 < 5:
         raise ValueError("rank-sum test needs at least 5 observations per sample")
     pooled = np.concatenate([a, b])
-    ranks = _rankdata(pooled)
+    ranks = midranks(pooled)
     w = float(ranks[:n1].sum())
     n = n1 + n2
     mean_w = n1 * (n + 1) / 2.0

@@ -13,9 +13,8 @@ from click.testing import CliRunner
 from idealbench.bench import RunConfig, run_suite
 from idealbench.cli import main as cli_main
 from idealbench.cmaes import CmaProcedure
-from idealbench.core import EvaluationBudget, make_rng
-from idealbench.estimation import (EwsSubproblem, OffspringBatch,
-                                   alpha_from_epsilon)
+from idealbench.core import EvaluationBudget, OffspringBatch, make_rng
+from idealbench.estimation import EwsSubproblem, alpha_from_epsilon
 from idealbench.generator import (GeneratorParams, chat, distance_values,
                                   get_problem, position_value, preset,
                                   preset_names, remap)

@@ -1,14 +1,16 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idealbench.bench import (RunConfig, build_report, default_fe_max,
-                              default_population_size, emit, load_raw,
-                              run_suite, run_trial, summarize)
+from idealbench.bench import (RunConfig, RunRecord, build_report,
+                              default_fe_max, default_population_size, emit,
+                              format_report, load_raw, run_suite, run_trial,
+                              summarize)
 from idealbench.cli import main as cli_main
 from idealbench.hosts import EstimatorConfig, HostConfig
 
@@ -62,6 +64,16 @@ class TestRunTrial:
             RunConfig(problem="mop1",
                       host=HostConfig(population_size=100),
                       fe_max=50)
+
+    @pytest.mark.parametrize("host", ["nsga2", "smsemoa"])
+    @pytest.mark.parametrize("estimator", ["ut", "drp"])
+    def test_reference_point_estimator_needs_moead(self, host, estimator):
+        # ut and drp act only through MoeadHost.z_ref; elsewhere they would
+        # silently repeat running-min
+        with pytest.raises(ValueError, match="moead"):
+            RunConfig(problem="mop2",
+                      host=HostConfig(kind=host, population_size=20),
+                      estimator=EstimatorConfig(kind=estimator), fe_max=400)
 
     def test_digest_stable_and_sensitive(self):
         a = small_config().digest()
@@ -152,6 +164,24 @@ class TestSuiteAndEmit:
         assert sorted(ranks) == [1.5, 1.5]  # averaged over the tie
 
 
+    def test_report_with_missing_cell(self):
+        # a column with no records on one problem has a NaN mean there
+        def record(problem, estimator, seed):
+            return RunRecord(problem=problem, host="moead", estimator=estimator,
+                             seed=seed, fe_max=1000, e_value=0.1 * (seed + 1),
+                             hv_value=0.5, eie_fe_fraction=0.0, trajectory=[],
+                             config_digest="")
+        records = [record("mop1", "eie", s) for s in range(5)]
+        records += [record(p, "running-min", s)
+                    for p in ("mop1", "mop2") for s in range(5)]
+        rep = build_report(records, reference="moead+running-min")
+        cell = rep["problems"]["mop2"]["e"]["moead+eie"]
+        assert math.isnan(cell["mean"]) and cell["rank"] == 2.0
+        assert rep["problems"]["mop2"]["hv"]["moead+eie"]["rank"] == 2.0
+        assert rep["problems"]["mop2"]["e"]["moead+running-min"]["rank"] == 1.0
+        assert "nan(2)" in format_report(rep)
+
+
 class TestCli:
     def test_list_problems(self):
         result = CliRunner().invoke(cli_main, ["list-problems"])
@@ -229,3 +259,21 @@ class TestCli:
         assert result.exit_code == 0, result.output
         raw = (res / "raw.csv").read_text()
         assert ",ut," in raw and "running-min" not in raw
+
+    @pytest.mark.parametrize("problem,host,estimator,message", [
+        ("mop1", "nsga2", "drp", "moead"),
+        ("mop1", "smsemoa", "ut", "moead"),
+        ("mop1", "bogus", "running-min", "unknown host"),
+        ("mop99", "moead", "running-min", "unknown problem"),
+    ])
+    def test_run_rejects_bad_grid_as_usage_error(self, problem, host, estimator,
+                                                 message, tmp_path):
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--problem", problem, "--host", host, "--estimator", estimator,
+            "--seeds", "0", "--fe-max", "1200", "--pop-size", "30",
+            "--out", str(res), "--workers", "1",
+        ])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert message in result.output and "Traceback" not in result.output
+        assert not res.exists()

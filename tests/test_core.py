@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealbench.core import (BoxBounds, EvaluationBudget, clamp_to_bounds,
-                             dominates, make_rng, non_dominated_filter)
+                             dominates, fast_non_dominated_sort, make_rng)
 
 
 def brute_force_non_dominated(objs):
@@ -46,27 +46,30 @@ class TestDominates:
             assert dominates(u, w)
 
 
+def first_front(objs):
+    return fast_non_dominated_sort(objs)[0].tolist()
+
+
 class TestNonDominatedFilter:
     def test_simple(self):
-        idx = non_dominated_filter(np.array([[0, 1], [1, 0], [1, 1]]))
-        assert idx.tolist() == [0, 1]
+        assert first_front(np.array([[0, 1], [1, 0], [1, 1]])) == [0, 1]
 
     def test_singleton(self):
-        assert non_dominated_filter(np.array([[0.0, 0.0]])).tolist() == [0]
+        assert first_front(np.array([[0.0, 0.0]])) == [0]
 
     def test_matches_pairwise_oracle(self):
         rng = make_rng(3)
         objs = rng.random((50, 2))
-        assert non_dominated_filter(objs).tolist() == brute_force_non_dominated(objs)
+        assert first_front(objs) == brute_force_non_dominated(objs)
 
     def test_matches_oracle_with_ties(self):
         rng = make_rng(4)
         objs = np.round(rng.random((120, 3)), 1)  # many exact ties
-        assert non_dominated_filter(objs).tolist() == brute_force_non_dominated(objs)
+        assert first_front(objs) == brute_force_non_dominated(objs)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            non_dominated_filter(np.empty((0, 2)))
+            fast_non_dominated_sort(np.empty((0, 2)))
 
 
 class TestBounds:

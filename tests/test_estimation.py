@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from idealbench.cmaes import StopReport
-from idealbench.core import EvaluationBudget, make_rng, non_dominated_filter
+from idealbench.core import (EvaluationBudget, OffspringBatch,
+                             fast_non_dominated_sort, make_rng)
 from idealbench.estimation import (EwsSubproblem, IdealEstimation,
-                                   OffspringBatch, alpha_from_epsilon,
-                                   error_bound, estimate_ideal, ews_fitness,
-                                   normalize_objectives)
+                                   alpha_from_epsilon, error_bound,
+                                   ews_fitness, normalize_objectives)
 from idealbench.generator import get_problem
 
 
@@ -88,30 +88,7 @@ class TestEwsFitness:
             sub = EwsSubproblem(rng.integers(0, 3), 0.05, 3)
             scores = ews_fitness(objs, sub, objs.min(axis=0), objs.max(axis=0))
             winner = int(np.argmin(scores))
-            assert winner in non_dominated_filter(objs)
-
-
-class TestEstimateIdeal:
-    def test_componentwise_min(self):
-        got = estimate_ideal(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert got.tolist() == [1.0, 1.0]
-
-    def test_singleton(self):
-        assert estimate_ideal(np.array([[3.0, 4.0]])).tolist() == [3.0, 4.0]
-
-    def test_monotone_under_accumulation(self):
-        rng = make_rng(2)
-        pool = rng.random((1, 2))
-        prev = estimate_ideal(pool)
-        for _ in range(20):
-            pool = np.vstack([pool, rng.random((5, 2))])
-            cur = estimate_ideal(pool)
-            assert np.all(cur <= prev + 1e-15)
-            prev = cur
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_ideal(np.empty((0, 2)))
+            assert winner in fast_non_dominated_sort(objs)[0]
 
 
 def make_component(problem_name="mop1", seed=0, **kwargs):
@@ -137,7 +114,6 @@ class TestComponentLifecycle:
         expected = sum(p.lam for p in comp.procedures)
         assert batch.size == expected
         assert comp.evaluations_used == expected == budget.used
-        assert not batch.truncated
 
     def test_offspring_objectives_are_coherent(self):
         problem, comp, *_, rng = make_component()
@@ -149,7 +125,7 @@ class TestComponentLifecycle:
         problem, comp, *_, rng = make_component()
         budget = EvaluationBudget(5, _eval=problem.evaluate_batch)
         batch = comp.produce_offspring(budget, rng)
-        assert batch.truncated and batch.size == 5 and budget.exhausted
+        assert batch.size == 5 and budget.exhausted
 
     def test_all_terminated_yields_empty_forever(self):
         problem, comp, *_, rng = make_component()

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from idealbench.core import BoxBounds, EvaluationBudget, dominates, make_rng
-from idealbench.estimation import OffspringBatch
+from idealbench.core import (BoxBounds, EvaluationBudget, OffspringBatch,
+                             dominates, fast_non_dominated_sort, make_rng)
 from idealbench.generator import get_problem
 from idealbench.hosts import (BaselineEstimator, EstimatorConfig, HostConfig,
                               crowding_distance, de_pm_offspring, drp_beta,
-                              fast_non_dominated_sort, global_replacement,
-                              hv_contributions,
+                              global_replacement, hv_contributions,
                               make_host, nsga2_select, polynomial_mutation,
                               scalarized_fitness, simplex_lattice_weights,
                               smsemoa_select)
@@ -314,8 +313,9 @@ class TestBaselineEstimators:
         with pytest.raises(ValueError):
             HostConfig(de_f=0.0)
 
-    def test_none_estimator_is_running_min(self):
-        assert EstimatorConfig(kind="none").kind == "running-min"
+    def test_none_alias_rejected(self):
+        with pytest.raises(ValueError):
+            EstimatorConfig(kind="none")
 
     def test_explicit_neighborhood_size(self):
         problem = get_problem("mop1")

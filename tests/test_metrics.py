@@ -1,11 +1,14 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idealbench.core import make_rng
 from idealbench.metrics import (e_metric, hv_exact, hv_monte_carlo,
-                                hv_normalized, rank_sum_verdict,
+                                hv_normalized, midranks, rank_sum_verdict,
                                 wilcoxon_rank_sum)
 
 
@@ -210,3 +213,34 @@ class TestWilcoxon:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_rank_sum(np.ones(3), np.ones(10))
+
+
+def brute_force_midranks(values):
+    """Mean 1-based position of each value's equals in sorted order, NaNs
+    counted as equal to each other and sorted after every number."""
+    def key(v):
+        return (math.isnan(v), 0.0 if math.isnan(v) else v)
+
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    ordered = sorted(values, key=key)
+    return [statistics.mean(p + 1 for p, w in enumerate(ordered) if same(w, v))
+            for v in values]
+
+
+class TestMidranks:
+    def test_ties_share_mean_position(self):
+        assert midranks([3.0, 1.0, 3.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
+
+    def test_nans_tie_after_every_number(self):
+        got = midranks([math.nan, 5.0, math.nan, -1.0])
+        assert got.tolist() == [3.5, 2.0, 3.5, 1.0]
+
+    def test_empty(self):
+        assert midranks([]).shape == (0,)
+
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, math.nan]),
+                              st.floats(-10, 10)), max_size=30))
+    def test_matches_brute_force_oracle(self, values):
+        assert midranks(values).tolist() == brute_force_midranks(values)
