@@ -365,11 +365,11 @@ def format_report(report: dict) -> str:
             row = [f"{problem:>24}"]
             for c in columns:
                 cell = entry[metric][c]
-                text = f"{cell['mean']:.6g}({int(cell['rank'])}){cell['verdict']}"
+                text = f"{cell['mean']:.6g}({cell['rank']:g}){cell['verdict']}"
                 row.append(f"{text:>24}")
             lines.append("  ".join(row))
         avg = report["average_rank"][metric]
-        row = [f"{'average rank':>24}"] + [f"{avg[c]:>24}" for c in columns]
+        row = [f"{'average rank':>24}"] + [f"{avg[c]:>24g}" for c in columns]
         lines.append("  ".join(row))
         lines.append("")
     return "\n".join(lines)

@@ -76,9 +76,12 @@ def fast_non_dominated_sort(objs: np.ndarray) -> list:
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     if objs.shape[0] == 0:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt  # [i, j]: i dominates j
+    # one pairwise compare per objective; an (N, N, m) broadcast reduced
+    # over its short last axis is several times slower
+    le = objs[:, None, 0] <= objs[None, :, 0]  # [i, j]: i no worse than j
+    for j in range(1, objs.shape[1]):
+        le &= objs[:, None, j] <= objs[None, :, j]
+    dom = le & ~le.T  # [i, j]: i dominates j
     n_dom = dom.sum(axis=0).astype(int)
     fronts = []
     current = np.flatnonzero(n_dom == 0)

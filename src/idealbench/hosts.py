@@ -358,13 +358,47 @@ class MoeadHost:
 
 
 def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Exclusive hypervolume contribution of each point of a front."""
+    """Exclusive hypervolume contribution of each point, for 2 or 3
+    objectives.
+
+    The contribution of p is the volume of its box ``[p, ref]`` minus the
+    hypervolume of the other points clamped into that box, ``max(q, p)``.
+    Before that hypervolume is taken, the clamped points are reduced to
+    their non-dominated rows, one of each group of equal rows.  Since
+    ``max(r, p) <= max(q, p)`` exactly when ``r <= max(q, p)``, two sweeps
+    over the dominating candidates r reduce the boxes of all points at
+    once, in O(k^2) memory.
+    """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
-    total = hv_exact(objs, ref)
-    out = np.empty(objs.shape[0])
-    for i in range(objs.shape[0]):
-        rest = np.delete(objs, i, axis=0)
-        out[i] = total - hv_exact(rest, ref)
+    ref = np.asarray(ref, dtype=float)
+    k, m = objs.shape
+
+    def covers(r, rows, cols):
+        # [p, q]: max(p, q) >= objs[r] in every objective
+        above = objs >= objs[r]
+        out = above[rows, None, 0] | above[None, cols, 0]
+        for j in range(1, m):
+            out &= above[rows, None, j] | above[None, cols, j]
+        return out
+
+    # survives[p, q]: the clamped q enters p's hypervolume
+    survives = ~np.eye(k, dtype=bool)
+    # first drop each q that a lower-indexed clamped point dominates or
+    # equals, which leaves the first of every group of equal rows ...
+    for r in range(k - 1):
+        cover = covers(r, slice(None), slice(r + 1, None))
+        cover[r] = False
+        survives[:, r + 1:] &= ~cover
+    # ... so whatever a surviving r still covers, it strictly dominates
+    for r in range(k):
+        rows = np.flatnonzero(survives[:, r])
+        cover = covers(r, rows, slice(None))
+        cover[:, r] = False
+        survives[rows] &= ~cover
+    out = np.empty(k)
+    for p in range(k):
+        box = float(np.prod(np.maximum(ref - objs[p], 0.0)))
+        out[p] = box - hv_exact(np.maximum(objs[survives[p]], objs[p]), ref)
     return out
 
 

@@ -1,18 +1,23 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from idealbench import core, hosts
 from idealbench.bench import (RunConfig, RunRecord, build_report,
                               default_fe_max, default_population_size, emit,
                               format_report, load_raw, run_suite, run_trial,
                               summarize)
 from idealbench.cli import main as cli_main
 from idealbench.hosts import EstimatorConfig, HostConfig
+
+from .test_core import reference_fronts
+from .test_hosts import leave_one_out_contributions
 
 SMALL = dict(host=HostConfig(kind="moead", population_size=40),
              fe_max=2_000, snapshot_every=500)
@@ -85,6 +90,39 @@ class TestRunTrial:
             run_suite([small_config()], seeds=[0, 0])
         with pytest.raises(ValueError):
             run_suite([small_config()], seeds=[])
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("host", ["nsga2", "smsemoa"])
+    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
+    def test_trial_matches_oracle_kernels(self, host, problem, monkeypatch):
+        # the selection kernels must leave whole runs bit-identical to the
+        # earlier sort and leave-one-out contributions kept in the tests
+        cfg = RunConfig(problem=problem,
+                        host=HostConfig(kind=host, population_size=24),
+                        estimator=EstimatorConfig(kind="eie"),
+                        fe_max=600 if host == "smsemoa" else 2_000,
+                        snapshot_every=200)
+        shipped = run_trial(cfg, seed=5)
+        calls = {"sort": 0, "hvc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        oracle_sort = counted("sort", reference_fronts)
+        monkeypatch.setattr(core, "fast_non_dominated_sort", oracle_sort)
+        monkeypatch.setattr(hosts, "fast_non_dominated_sort", oracle_sort)
+        monkeypatch.setattr(hosts, "hv_contributions",
+                            counted("hvc", leave_one_out_contributions))
+        oracle = run_trial(cfg, seed=5)
+        assert calls["sort"] > 0 and (calls["hvc"] > 0) == (host == "smsemoa")
+        assert shipped.raw_row() == oracle.raw_row()
+        assert shipped.trajectory == oracle.trajectory
+        assert np.array_equal(shipped.final_x, oracle.final_x)
+        assert np.array_equal(shipped.final_f, oracle.final_f)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +201,25 @@ class TestSuiteAndEmit:
         ranks = [c["rank"] for c in rep["problems"]["mop1"]["e"].values()]
         assert sorted(ranks) == [1.5, 1.5]  # averaged over the tie
 
+
+    def test_format_report_shows_midranks(self):
+        # two columns tie on mop1 and split on mop2: ranks 1.5/1.5 and 1/2
+        def record(problem, estimator, e):
+            return RunRecord(problem=problem, host="moead", estimator=estimator,
+                             seed=0, fe_max=1000, e_value=e, hv_value=0.5,
+                             eie_fe_fraction=0.0, trajectory=[],
+                             config_digest="")
+        records = [record("mop1", "eie", 0.3), record("mop1", "running-min", 0.3),
+                   record("mop2", "eie", 0.1), record("mop2", "running-min", 0.2)]
+        text = format_report(build_report(records, reference="moead+eie"))
+        lines = text.split("== hypervolume")[0].splitlines()
+        cells = [[float(r) for r in re.findall(r"\(([\d.]+)\)", line)]
+                 for line in lines if line.split()[:1] in (["mop1"], ["mop2"])]
+        assert cells == [[1.5, 1.5], [1.0, 2.0]]
+        average = next(line for line in lines if "average rank" in line)
+        shown = [float(v) for v in average.split()[2:]]
+        assert shown == [sum(col) / len(cells) for col in zip(*cells)]
+        assert shown == [1.25, 1.75]
 
     def test_report_with_missing_cell(self):
         # a column with no records on one problem has a NaN mean there

@@ -46,6 +46,26 @@ class TestDominates:
             assert dominates(u, w)
 
 
+def reference_fronts(objs: np.ndarray) -> list:
+    """The sort's earlier body: the dominance matrix from an (N, N, m)
+    broadcast reduced with all/any, then the same peel loop."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    if objs.shape[0] == 0:
+        raise ValueError("expected a non-empty 2-D array of objective vectors")
+    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
+    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
+    dom = le & lt  # [i, j]: i dominates j
+    n_dom = dom.sum(axis=0).astype(int)
+    fronts = []
+    current = np.flatnonzero(n_dom == 0)
+    while current.size:
+        fronts.append(current)
+        n_dom[current] = -1
+        n_dom -= dom[current].sum(axis=0)
+        current = np.flatnonzero(n_dom == 0)
+    return fronts
+
+
 def first_front(objs):
     return fast_non_dominated_sort(objs)[0].tolist()
 
@@ -70,6 +90,20 @@ class TestNonDominatedFilter:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fast_non_dominated_sort(np.empty((0, 2)))
+
+
+class TestSortOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, 4), min_size=m, max_size=m),
+        min_size=1, max_size=60)))
+    def test_fronts_match_broadcast_oracle(self, rows):
+        # small integer objectives force ties and duplicate rows
+        objs = np.asarray(rows, dtype=float)
+        got, want = fast_non_dominated_sort(objs), reference_fronts(objs)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestBounds:

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealbench import hosts
 from idealbench.core import (BoxBounds, EvaluationBudget, OffspringBatch,
                              dominates, fast_non_dominated_sort, make_rng)
 from idealbench.generator import get_problem
@@ -27,6 +32,31 @@ def brute_force_fronts(objs):
         fronts.append(sorted(front))
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def leave_one_out_contributions(objs, ref):
+    """The earlier contribution kernel: the whole front's hypervolume minus
+    each leave-one-out hypervolume."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    total = hv_exact(objs, ref)
+    out = np.empty(objs.shape[0])
+    for i in range(objs.shape[0]):
+        rest = np.delete(objs, i, axis=0)
+        out[i] = total - hv_exact(rest, ref)
+    return out
+
+
+def dropped_member(objs, ref, kernel):
+    """Index smsemoa_select removes from ``objs`` with ``kernel`` as its
+    contribution routine."""
+    with mock.patch.object(hosts, "hv_contributions", kernel):
+        keep = smsemoa_select(objs, objs.shape[0] - 1, ref)
+    return int(np.setdiff1d(np.arange(objs.shape[0]), keep)[0])
+
+
+def point_sets(value):
+    return st.integers(2, 3).flatmap(lambda m: st.lists(
+        st.lists(value, min_size=m, max_size=m), min_size=1, max_size=30))
 
 
 class TestVariation:
@@ -220,6 +250,56 @@ class TestIndicatorSelection:
         for i in range(8):
             rest = hv_exact(np.delete(objs, i, axis=0), ref)
             assert contrib[i] == pytest.approx(total - rest)
+
+
+class TestContributionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(st.integers(0, 5)))
+    def test_grid_points_match_leave_one_out(self, rows):
+        # quarter steps up to 1.25 against ref 1: duplicates, points on and
+        # past the reference, and arithmetic exact in both kernels
+        objs = np.asarray(rows, dtype=float) / 4
+        ref = np.ones(objs.shape[1])
+        got = hv_contributions(objs, ref)
+        assert got == pytest.approx(leave_one_out_contributions(objs, ref),
+                                    rel=0, abs=1e-12)
+        if objs.shape[0] > 1:
+            assert (dropped_member(objs, ref, hv_contributions)
+                    == dropped_member(objs, ref, leave_one_out_contributions))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(st.floats(0.0, 1.3)))
+    def test_real_points_match_leave_one_out(self, rows):
+        objs = np.asarray(rows, dtype=float)
+        ref = np.full(objs.shape[1], 1.1)
+        want = leave_one_out_contributions(objs, ref)
+        assert hv_contributions(objs, ref) == pytest.approx(want, rel=0, abs=1e-12)
+        worst = fast_non_dominated_sort(objs)[-1]
+        gaps = np.diff(np.sort(leave_one_out_contributions(objs[worst], ref)))
+        if worst.size > 1 and gaps[0] > 1e-12:  # a clear smallest contributor
+            assert (dropped_member(objs, ref, hv_contributions)
+                    == dropped_member(objs, ref, leave_one_out_contributions))
+
+    def test_single_point_is_its_box(self):
+        objs = np.array([[0.25, 0.5, 0.75]])
+        ref = np.ones(3)
+        assert hv_contributions(objs, ref).tolist() == [0.75 * 0.5 * 0.25]
+
+    def test_forty_point_three_objective_front(self):
+        rng = make_rng(19)
+        x = np.abs(rng.standard_normal((40, 3)))
+        objs = x / np.linalg.norm(x, axis=1)[:, None]  # one concave front
+        ref = np.full(3, 1.1)
+        assert len(fast_non_dominated_sort(objs)) == 1
+        assert hv_contributions(objs, ref) == pytest.approx(
+            leave_one_out_contributions(objs, ref), rel=0, abs=1e-12)
+        assert (dropped_member(objs, ref, hv_contributions)
+                == dropped_member(objs, ref, leave_one_out_contributions))
+        objs[7] = objs[3]  # a duplicate pair adds nothing exclusive
+        got = hv_contributions(objs, ref)
+        assert got == pytest.approx(leave_one_out_contributions(objs, ref),
+                                    rel=0, abs=1e-12)
+        assert got[3] == got[7] == 0.0
 
 
 class TestHostsEndToEnd:
