@@ -139,13 +139,12 @@ class EvaluationBudget:
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate as many rows of ``xs`` as the budget allows.
 
-        Returns the objective matrix for the evaluated prefix; the caller
-        detects truncation by comparing row counts.
+        Returns the objective matrix for the evaluated prefix, ``(0, m)``
+        when no row is paid for; the caller detects truncation by comparing
+        row counts.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         take = min(xs.shape[0], self.remaining)
-        if take == 0:
-            return np.empty((0, 0))
         out = self._eval(xs[:take])
         self.used += take
         return out

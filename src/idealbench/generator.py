@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +81,14 @@ class GeneratorParams:
             if abs(sum(self.c_dis) - 1.0) > 1e-9 or any(c < 0 for c in self.c_dis):
                 raise ValueError("c_dis must be non-negative and sum to 1")
 
-    @property
+    @cached_property
     def bounds(self) -> BoxBounds:
+        # built once per instance (cached_property writes the instance dict
+        # directly, which a frozen dataclass allows); read-only, as every
+        # caller shares it
         lower = np.concatenate([np.zeros(self.s), -np.ones(self.n - self.s)])
         upper = np.ones(self.n)
+        lower.flags.writeable = upper.flags.writeable = False
         return BoxBounds(lower, upper)
 
     @property

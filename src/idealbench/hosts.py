@@ -31,7 +31,7 @@ RANGE_GUARD = 1e-12
 class HostConfig:
     kind: str = "nsga2"
     population_size: int = 100
-    neighborhood_size: int | None = None  # default: 10% of the population
+    neighborhood_size: int | None = None  # default: 10% of the population, >= 3
     mate_neighborhood_prob: float = 0.9
     scalarization: str = "tchebycheff"  # or "weighted-sum"
     de_f: float = 0.5
@@ -42,6 +42,8 @@ class HostConfig:
     def __post_init__(self):
         if self.kind not in HOST_KINDS:
             raise ValueError(f"unknown host {self.kind!r}")
+        if self.neighborhood_size is not None and self.neighborhood_size < 3:
+            raise ValueError("neighborhood_size must be at least 3")
         if self.scalarization not in ("tchebycheff", "weighted-sum"):
             raise ValueError(f"unknown scalarization {self.scalarization!r}")
         if not (0.0 < self.de_f <= 2.0):
@@ -121,7 +123,15 @@ def de_pm_offspring(
 def _distinct_triplets(
     pools: list, avoid: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Three distinct indices per row drawn from each row's pool."""
+    """Three distinct indices per row drawn from each row's pool of
+    distinct indices, none equal to the row's ``avoid`` entry."""
+    for row, pool in enumerate(pools):
+        # checked before any draw, so a rejected call leaves rng untouched
+        if len(pool) >= 4:
+            continue
+        usable = len(pool) - (avoid is not None and avoid[row] in pool)
+        if usable < 3:
+            raise ValueError(f"row {row}: fewer than 3 members to draw from")
     out = np.empty((len(pools), 3), dtype=int)
     for row, pool in enumerate(pools):
         chosen = []
@@ -143,13 +153,11 @@ def _initial_population(problem, size: int, budget: EvaluationBudget,
     return xs[: fs.shape[0]], fs
 
 
-def _evaluate_offspring(problem, children: np.ndarray,
+def _evaluate_offspring(children: np.ndarray,
                         budget: EvaluationBudget) -> OffspringBatch:
     """Host children evaluated as far as the budget allows; the unpaid rest
     is dropped."""
     fs = budget.evaluate(children)
-    if fs.shape[0] == 0:
-        return OffspringBatch.empty(problem.n, problem.m)
     return OffspringBatch(children[: fs.shape[0]], fs,
                           np.full(fs.shape[0], -1, dtype=int))
 
@@ -233,7 +241,7 @@ class Nsga2Host:
             rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
             pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
         )
-        o2 = _evaluate_offspring(self.problem, children, budget)
+        o2 = _evaluate_offspring(children, budget)
 
         pool_x = np.vstack([self.pop_x, o1.xs, o2.xs])
         pool_f = np.vstack([self.pop_f, o1.fs, o2.fs])
@@ -316,7 +324,7 @@ class MoeadHost:
         self.config = config
         self.weights = simplex_lattice_weights(problem.m, config.population_size)
         self.pop_size = self.weights.shape[0]
-        t_size = config.neighborhood_size or max(2, round(0.1 * self.pop_size))
+        t_size = config.neighborhood_size or max(3, round(0.1 * self.pop_size))
         d = np.linalg.norm(
             self.weights[:, None, :] - self.weights[None, :, :], axis=2
         )
@@ -341,7 +349,7 @@ class MoeadHost:
             rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
             pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
         )
-        o2 = _evaluate_offspring(self.problem, children, budget)
+        o2 = _evaluate_offspring(children, budget)
         if not (o1.size or o2.size):
             return o2
         pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
@@ -460,7 +468,7 @@ class SmsEmoaHost:
                 rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
                 pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
             )
-            o = _evaluate_offspring(self.problem, child, budget)
+            o = _evaluate_offspring(child, budget)
             self._insert(o.xs[0], o.fs[0])
             children.append(o)
         if not children:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idealbench import core, hosts
+from idealbench import core, hosts, metrics
 from idealbench.bench import (RunConfig, RunRecord, build_report,
                               default_fe_max, default_population_size, emit,
                               format_report, load_raw, run_suite, run_trial,
@@ -18,6 +18,7 @@ from idealbench.hosts import EstimatorConfig, HostConfig
 
 from .test_core import reference_fronts
 from .test_hosts import leave_one_out_contributions
+from .test_metrics import reference_hv
 
 SMALL = dict(host=HostConfig(kind="moead", population_size=40),
              fe_max=2_000, snapshot_every=500)
@@ -44,6 +45,13 @@ class TestRunTrial:
         for est in ("running-min", "eie"):
             rec = run_trial(small_config(estimator=est), seed=0)
             assert rec.trajectory[-1][0] == rec.fe_max
+
+    def test_small_moead_population_completes(self):
+        # a 2-member neighbourhood once made the triplet draw spin forever
+        cfg = small_config(problem="mop2", estimator="eie",
+                           host=HostConfig(kind="moead", population_size=20))
+        rec = run_trial(cfg, seed=0)
+        assert rec.trajectory[-1][0] == rec.fe_max
 
     def test_trajectory_shape(self):
         rec = run_trial(small_config(), seed=1)
@@ -93,18 +101,18 @@ class TestRunTrial:
 
 
 class TestKernelOracles:
-    @pytest.mark.parametrize("host", ["nsga2", "smsemoa"])
-    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
-    def test_trial_matches_oracle_kernels(self, host, problem, monkeypatch):
-        # the selection kernels must leave whole runs bit-identical to the
-        # earlier sort and leave-one-out contributions kept in the tests
+    # the selection and hypervolume kernels must leave whole runs
+    # bit-identical to the earlier sort, leave-one-out contributions and
+    # exact hypervolume kept in the tests
+
+    def run_with_oracles(self, problem, host, monkeypatch, hv_only):
         cfg = RunConfig(problem=problem,
                         host=HostConfig(kind=host, population_size=24),
                         estimator=EstimatorConfig(kind="eie"),
                         fe_max=600 if host == "smsemoa" else 2_000,
                         snapshot_every=200)
         shipped = run_trial(cfg, seed=5)
-        calls = {"sort": 0, "hvc": 0}
+        calls = {"sort": 0, "hvc": 0, "hv": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -112,17 +120,41 @@ class TestKernelOracles:
                 return fn(*args)
             return wrapper
 
-        oracle_sort = counted("sort", reference_fronts)
-        monkeypatch.setattr(core, "fast_non_dominated_sort", oracle_sort)
-        monkeypatch.setattr(hosts, "fast_non_dominated_sort", oracle_sort)
-        monkeypatch.setattr(hosts, "hv_contributions",
-                            counted("hvc", leave_one_out_contributions))
+        oracle_hv = counted("hv", reference_hv)
+        monkeypatch.setattr(metrics, "hv_exact", oracle_hv)
+        monkeypatch.setattr(hosts, "hv_exact", oracle_hv)
+        if not hv_only:
+            oracle_sort = counted("sort", reference_fronts)
+            monkeypatch.setattr(core, "fast_non_dominated_sort", oracle_sort)
+            monkeypatch.setattr(hosts, "fast_non_dominated_sort", oracle_sort)
+            monkeypatch.setattr(hosts, "hv_contributions",
+                                counted("hvc", leave_one_out_contributions))
         oracle = run_trial(cfg, seed=5)
-        assert calls["sort"] > 0 and (calls["hvc"] > 0) == (host == "smsemoa")
         assert shipped.raw_row() == oracle.raw_row()
         assert shipped.trajectory == oracle.trajectory
         assert np.array_equal(shipped.final_x, oracle.final_x)
         assert np.array_equal(shipped.final_f, oracle.final_f)
+        return calls, len(shipped.trajectory)
+
+    @pytest.mark.parametrize("host", ["nsga2", "moead", "smsemoa"])
+    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
+    def test_trial_matches_oracle_kernels(self, host, problem, monkeypatch):
+        calls, snapshots = self.run_with_oracles(problem, host, monkeypatch,
+                                                 hv_only=False)
+        assert (calls["sort"] > 0) == (host != "moead")
+        assert (calls["hvc"] > 0) == (host == "smsemoa")
+        assert calls["hv"] == snapshots  # hv_normalized, once per snapshot
+
+    @pytest.mark.parametrize("host", ["nsga2", "moead", "smsemoa"])
+    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
+    def test_trial_matches_oracle_hypervolume(self, host, problem, monkeypatch):
+        # the shipped contributions hand their per-insert boxes to the oracle
+        calls, snapshots = self.run_with_oracles(problem, host, monkeypatch,
+                                                 hv_only=True)
+        if host == "smsemoa":
+            assert calls["hv"] > snapshots
+        else:
+            assert calls["hv"] == snapshots
 
 
 @pytest.fixture(scope="module")

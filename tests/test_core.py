@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from idealbench.core import (BoxBounds, EvaluationBudget, clamp_to_bounds,
                              dominates, fast_non_dominated_sort, make_rng)
+from idealbench.generator import get_problem
 
 
 def brute_force_non_dominated(objs):
@@ -164,3 +165,12 @@ class TestEvaluationBudget:
         out = budget.evaluate(np.ones((4, 2)))
         assert out.shape == (2, 2) and budget.used == 5 and budget.exhausted
         assert budget.evaluate(np.ones((1, 2))).shape[0] == 0
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_exhausted_budget_returns_no_rows_of_width_m(self, name):
+        problem = get_problem(name)
+        budget = EvaluationBudget(2, _eval=problem.evaluate_batch)
+        xs = problem.bounds.sample(3, make_rng(4))
+        assert budget.evaluate(xs).shape == (2, problem.m)
+        assert budget.evaluate(xs).shape == (0, problem.m)
+        assert budget.used == 2

@@ -243,6 +243,16 @@ class TestEvaluate:
         assert np.all(fs >= -1e-12)
         assert np.all(fs <= prob.nadir + 1e-9)
 
+    def test_bounds_built_once_and_read_only(self):
+        params = gen.preset("mop11")
+        b = params.bounds
+        assert gen.get_problem("mop11").bounds is not b  # one per instance
+        assert params.bounds is b
+        assert b.lower.tolist() == [0.0] * params.s + [-1.0] * (params.n - params.s)
+        assert b.upper.tolist() == [1.0] * params.n
+        with pytest.raises(ValueError):
+            b.lower[0] = 0.5
+
     def test_ideal_and_scale_vector(self):
         prob = gen.get_problem("mop1")
         assert prob.ideal.tolist() == [0.0, 0.0]

@@ -97,6 +97,29 @@ class TestVariation:
         assert not np.array_equal(out, xs)
 
 
+class TestDistinctTriplets:
+    def test_rows_are_distinct_and_avoid_the_base(self):
+        rng = make_rng(21)
+        pools = [np.arange(4), np.arange(10, 13), np.arange(50)]
+        trip = hosts._distinct_triplets(pools, np.array([2, 99, 7]), rng)
+        for row, pool in zip(trip, pools):
+            assert len(set(row.tolist())) == 3
+            assert set(row.tolist()) <= set(pool.tolist())
+        assert 2 not in trip[0] and 7 not in trip[2]
+
+    @pytest.mark.parametrize("pools, avoid", [
+        ([np.arange(5), np.arange(2)], None),
+        ([np.arange(3)], np.array([1])),
+        ([np.arange(5), np.array([4, 8, 9])], np.array([0, 8])),
+    ])
+    def test_too_small_pool_raises_before_any_draw(self, pools, avoid):
+        rng = make_rng(22)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            hosts._distinct_triplets(pools, avoid, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestDominanceSorting:
     def test_partition_matches_oracle(self):
         rng = make_rng(5)
@@ -334,6 +357,16 @@ class TestHostsEndToEnd:
         best_before_norm = host.pop_f.min(axis=0) / problem.nadir
         assert best_before_norm.min() < 0.9  # optimal material survived selection
 
+    def test_three_member_nsga2_cannot_breed(self):
+        # every row's pool is the population less its base: 2 members
+        problem = get_problem("mop2")
+        rng = make_rng(23)
+        budget = EvaluationBudget(100, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="nsga2", population_size=3),
+                         budget, rng)
+        with pytest.raises(ValueError):
+            host.step(OffspringBatch.empty(problem.n, problem.m), budget, rng)
+
     def test_budget_exhaustion_mid_step(self):
         problem = get_problem("mop1")
         rng = make_rng(14)
@@ -412,6 +445,18 @@ class TestBaselineEstimators:
             picked = d[i, host.neighbors[i]].max()
             others = np.delete(d[i], host.neighbors[i])
             assert picked <= others.min() + 1e-12
+
+    def test_neighborhood_below_three_rejected(self):
+        for size in (0, 1, 2):
+            with pytest.raises(ValueError):
+                HostConfig(kind="moead", neighborhood_size=size)
+
+    def test_small_moead_population_gets_three_neighbours(self):
+        problem = get_problem("mop2")
+        budget = EvaluationBudget(500, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="moead", population_size=20),
+                         budget, make_rng(20))
+        assert host.neighbors.shape == (20, 3)
 
     def test_population_must_exceed_objectives(self):
         problem = get_problem("mop11")

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealbench.core import make_rng
@@ -62,6 +62,63 @@ def brute_rectangles(front, ref):
     return area
 
 
+def _reference_hv2d(front, ref):
+    keep = np.all(front < ref, axis=1)
+    pts = front[keep]
+    if pts.shape[0] == 0:
+        return 0.0
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    hv = 0.0
+    cur_f2 = ref[1]
+    for f1, f2 in pts:
+        if f2 < cur_f2:
+            hv += (ref[0] - f1) * (cur_f2 - f2)
+            cur_f2 = f2
+    return hv
+
+
+def _reference_hv3d(front, ref):
+    keep = np.all(front < ref, axis=1)
+    pts = front[keep]
+    if pts.shape[0] == 0:
+        return 0.0
+    order = np.argsort(pts[:, 2], kind="stable")
+    pts = pts[order]
+    levels = pts[:, 2]
+    hv = 0.0
+    i = 0
+    k = pts.shape[0]
+    while i < k:
+        z = levels[i]
+        j = i + 1
+        while j < k and levels[j] == z:
+            j += 1
+        z_next = levels[j] if j < k else ref[2]
+        area = _reference_hv2d(pts[:j, :2], ref[:2])
+        hv += area * (z_next - z)
+        i = j
+    return hv
+
+
+def reference_hv(front, ref):
+    """The earlier exact hypervolume on numpy rows: a lexsort staircase in
+    2-D, re-sorted for every slab of the 3-D sweep."""
+    front = np.atleast_2d(np.asarray(front, dtype=float))
+    ref = np.asarray(ref, dtype=float)
+    if front.shape[0] == 0:
+        return 0.0
+    if front.shape[1] == 2:
+        return _reference_hv2d(front, ref)
+    return _reference_hv3d(front, ref)
+
+
+def fronts(value):
+    return st.integers(2, 3).flatmap(lambda m: st.lists(
+        st.lists(value, min_size=m, max_size=m), max_size=40).map(
+            lambda rows: np.asarray(rows, dtype=float).reshape(-1, m)))
+
+
 class TestHvExact:
     def test_unit_square(self):
         assert hv_exact(np.array([[0.0, 0.0]]), np.array([1.0, 1.0])) == 1.0
@@ -118,6 +175,31 @@ class TestHvExact:
     def test_rejects_high_dimensions(self):
         with pytest.raises(ValueError):
             hv_exact(np.zeros((2, 4)), np.ones(4))
+
+
+class TestHvOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(fronts(st.one_of(st.integers(0, 5).map(lambda i: i / 4),
+                            st.just(-0.0))))
+    def test_grid_points_equal_reference(self, front):
+        # quarter steps up to 1.25 against ref 1: ties, duplicates, points
+        # on and past the reference, and signed zeros
+        ref = np.ones(front.shape[1])
+        assert hv_exact(front, ref) == reference_hv(front, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fronts(st.floats(0.0, 1.3)))
+    def test_real_points_equal_reference(self, front):
+        ref = np.full(front.shape[1], 1.1)
+        assert hv_exact(front, ref) == reference_hv(front, ref)
+
+    def test_forty_point_three_objective_front(self):
+        rng = make_rng(7)
+        x = np.abs(rng.standard_normal((40, 3)))
+        front = x / np.linalg.norm(x, axis=1)[:, None]
+        front[5] = front[9]
+        ref = np.full(3, 1.1)
+        assert hv_exact(front, ref) == reference_hv(front, ref)
 
 
 class TestHvMonteCarlo:
