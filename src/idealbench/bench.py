@@ -6,11 +6,10 @@ and seed."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +56,6 @@ class RunConfig:
                 "running-min"
             )
 
-    def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "problem": self.problem,
-                "host": asdict(self.host),
-                "estimator": asdict(self.estimator),
-                "fe_max": self.fe_max,
-                "snapshot_every": self.snapshot_every,
-                "epsilon": self.epsilon,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
 
 @dataclass
 class RunRecord:
@@ -85,7 +70,6 @@ class RunRecord:
     hv_value: float
     eie_fe_fraction: float
     trajectory: list  # (fe, e, hv) tuples, fe strictly increasing
-    config_digest: str
     final_x: np.ndarray | None = None
     final_f: np.ndarray | None = None
 
@@ -101,7 +85,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def run_trial(config: RunConfig, seed: int, keep_population: bool = True) -> RunRecord:
+def run_trial(config: RunConfig, seed: int) -> RunRecord:
     """Execute one trial: initialize, iterate host (and, when configured,
     the estimation component) until the shared budget is exhausted, then
     score the final population against the instance's analytic ideal and
@@ -167,15 +151,9 @@ def run_trial(config: RunConfig, seed: int, keep_population: bool = True) -> Run
         eie_fe_fraction=(component.fe_fraction(budget.used)
                          if component is not None else 0.0),
         trajectory=trajectory,
-        config_digest=config.digest(),
-        final_x=host.pop_x.copy() if keep_population else None,
-        final_f=host.pop_f.copy() if keep_population else None,
+        final_x=host.pop_x.copy(),
+        final_f=host.pop_f.copy(),
     )
-
-
-def _run_cell(args) -> RunRecord:
-    config, seed = args
-    return run_trial(config, seed, keep_population=False)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -202,23 +180,25 @@ def run_suite(
     workers = worker_count(parallelism)
     results: list = [None] * len(jobs)
     if workers == 1 or len(jobs) == 1:
-        for i, job in enumerate(jobs):
+        for i, (cfg, seed) in enumerate(jobs):
             try:
-                results[i] = _run_cell(job)
+                results[i] = run_trial(cfg, seed)
             except Exception as exc:  # noqa: BLE001 - suite keeps going
-                print(f"cell {job[0].problem}/{job[0].host.kind}"
-                      f"+{job[0].estimator.kind} seed {job[1]} failed: {exc}")
+                _report_failure(cfg, seed, exc)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, job) for job in jobs]
+            futures = [pool.submit(run_trial, cfg, seed) for cfg, seed in jobs]
             for i, fut in enumerate(futures):
                 try:
                     results[i] = fut.result()
                 except Exception as exc:  # noqa: BLE001
-                    job = jobs[i]
-                    print(f"cell {job[0].problem}/{job[0].host.kind}"
-                          f"+{job[0].estimator.kind} seed {job[1]} failed: {exc}")
+                    _report_failure(*jobs[i], exc)
     return results
+
+
+def _report_failure(config: RunConfig, seed: int, exc: Exception) -> None:
+    print(f"cell {config.problem}/{config.host.kind}+{config.estimator.kind}"
+          f" seed {seed} failed: {exc}")
 
 
 def emit(records: list, out_dir: str | Path) -> dict:
@@ -293,7 +273,7 @@ def load_raw(path: str | Path) -> list:
                 fe_max=int(row["fe_max"]), e_value=float(row["e"]),
                 hv_value=float(row["hv"]),
                 eie_fe_fraction=float(row["eie_fe_fraction"]),
-                trajectory=[], config_digest="",
+                trajectory=[],
             ))
     return rows
 

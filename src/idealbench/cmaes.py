@@ -136,7 +136,6 @@ class CmaProcedure:
         step_size: float,
         covariance: np.ndarray,
         bounds: BoxBounds | None = None,
-        lambda_default: int | None = None,
         psa_enabled: bool = True,
         active_cma: bool = True,
     ):
@@ -146,7 +145,7 @@ class CmaProcedure:
         self.cov = np.asarray(covariance, dtype=float).copy()
         self.scales = np.ones(self.n)
         self.bounds = bounds
-        self.lambda_default = lambda_default or default_lambda(self.n)
+        self.lambda_default = default_lambda(self.n)
         self.lam = self.lambda_default
         self.psa_enabled = psa_enabled
         self.active_cma = active_cma

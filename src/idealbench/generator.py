@@ -301,29 +301,13 @@ def _simplex_lattice(m: int, count: int) -> np.ndarray:
     return simplex_lattice(m, h)
 
 
-def sample_pareto_front(
-    params: GeneratorParams,
-    count: int,
-    rng: np.random.Generator | None = None,
-    method: str = "grid",
-) -> np.ndarray:
-    """Objective vectors on the trade-off surface, mutually non-dominated.
-
-    ``grid`` gives a structured simplex lattice (default; exact size may
-    slightly exceed ``count`` for m = 3); ``random`` draws uniformly on the
-    simplex and needs ``rng``.
-    """
+def sample_pareto_front(params: GeneratorParams, count: int) -> np.ndarray:
+    """Objective vectors on the trade-off surface, mutually non-dominated:
+    the image of a simplex lattice, whose size may slightly exceed ``count``
+    for m = 3."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if method == "grid":
-        y = _simplex_lattice(params.m, count)
-    elif method == "random":
-        if rng is None:
-            raise ValueError("random sampling needs an rng")
-        e = rng.standard_exponential((count, params.m))
-        y = e / e.sum(axis=1, keepdims=True)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
+    y = _simplex_lattice(params.m, count)
     p = np.asarray(params.p, dtype=float)
     h = np.power(y, p)
     if params.inverted:
@@ -356,17 +340,14 @@ class GeneratedProblem:
     def nadir(self) -> np.ndarray:
         return self.params.w_vector.copy()
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return evaluate(np.asarray(x), self.params)[0]
-
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         return evaluate(xs, self.params)
 
     def sample_pareto_set(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return sample_pareto_set(self.params, count, rng)
 
-    def sample_pareto_front(self, count: int, **kwargs) -> np.ndarray:
-        return sample_pareto_front(self.params, count, **kwargs)
+    def sample_pareto_front(self, count: int) -> np.ndarray:
+        return sample_pareto_front(self.params, count)
 
 
 def _rows() -> dict:

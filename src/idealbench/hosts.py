@@ -25,38 +25,27 @@ ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
+MATE_NEIGHBORHOOD_PROB = 0.9  # MOEA/D mates within the neighbourhood
+UT_BETA = 0.1  # ut's fixed optimism offset
+DRP_FLOOR = 1e-3  # drp's offset at the budget end
 
 
 @dataclass(frozen=True)
 class HostConfig:
     kind: str = "nsga2"
     population_size: int = 100
-    neighborhood_size: int | None = None  # default: 10% of the population, >= 3
-    mate_neighborhood_prob: float = 0.9
     scalarization: str = "tchebycheff"  # or "weighted-sum"
-    de_f: float = 0.5
-    de_cr: float = 0.9
-    pm_index: float = 50.0
-    pm_prob: float | None = None  # default 1/n
 
     def __post_init__(self):
         if self.kind not in HOST_KINDS:
             raise ValueError(f"unknown host {self.kind!r}")
-        if self.neighborhood_size is not None and self.neighborhood_size < 3:
-            raise ValueError("neighborhood_size must be at least 3")
         if self.scalarization not in ("tchebycheff", "weighted-sum"):
             raise ValueError(f"unknown scalarization {self.scalarization!r}")
-        if not (0.0 < self.de_f <= 2.0):
-            raise ValueError("de_f must lie in (0, 2]")
-        if not (0.0 <= self.de_cr <= 1.0):
-            raise ValueError("de_cr must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     kind: str = "running-min"
-    beta_ut: float = 0.1
-    drp_floor: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -211,14 +200,12 @@ class Nsga2Host:
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
                  rng: np.random.Generator):
         self.problem = problem
-        self.config = config
         self.pop_size = config.population_size
         self.z_ref = None  # dominance selection ignores the reference point
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        cfg = self.config
         fronts = fast_non_dominated_sort(self.pop_f)
         rank = np.empty(self.pop_f.shape[0], dtype=int)
         crowd = np.empty(self.pop_f.shape[0])
@@ -238,8 +225,7 @@ class Nsga2Host:
         )
         children = de_pm_offspring(
             self.pop_x[base_idx], self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]],
-            rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
-            pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
+            rng, self.problem.bounds,
         )
         o2 = _evaluate_offspring(children, budget)
 
@@ -324,7 +310,7 @@ class MoeadHost:
         self.config = config
         self.weights = simplex_lattice_weights(problem.m, config.population_size)
         self.pop_size = self.weights.shape[0]
-        t_size = config.neighborhood_size or max(3, round(0.1 * self.pop_size))
+        t_size = max(3, round(0.1 * self.pop_size))
         d = np.linalg.norm(
             self.weights[:, None, :] - self.weights[None, :, :], axis=2
         )
@@ -337,17 +323,15 @@ class MoeadHost:
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        cfg = self.config
         k = self.pop_f.shape[0]
-        use_nbhd = rng.random(k) < cfg.mate_neighborhood_prob
+        use_nbhd = rng.random(k) < MATE_NEIGHBORHOOD_PROB
         pools = [
             self.neighbors[i] if use_nbhd[i] else np.arange(k) for i in range(k)
         ]
         trip = _distinct_triplets(pools, None, rng)
         children = de_pm_offspring(
             self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]], self.pop_x[trip[:, 2]],
-            rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
-            pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
+            rng, self.problem.bounds,
         )
         o2 = _evaluate_offspring(children, budget)
         if not (o1.size or o2.size):
@@ -355,7 +339,7 @@ class MoeadHost:
         pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
         pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
         fitness = scalarized_fitness(
-            pool_f, self.weights, self.z_ref, self._scale(), cfg.scalarization
+            pool_f, self.weights, self.z_ref, self._scale(), self.config.scalarization
         )
         new_idx = global_replacement(fitness)
         self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
@@ -435,7 +419,6 @@ class SmsEmoaHost:
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
                  rng: np.random.Generator):
         self.problem = problem
-        self.config = config
         self.pop_size = config.population_size
         self.z_ref = None
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
@@ -452,7 +435,6 @@ class SmsEmoaHost:
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        cfg = self.config
         for row in range(o1.size):
             self._insert(o1.xs[row], o1.fs[row])
         children = []
@@ -465,8 +447,7 @@ class SmsEmoaHost:
                 self.pop_x[trip[0]][None, :],
                 self.pop_x[trip[1]][None, :],
                 self.pop_x[trip[2]][None, :],
-                rng, self.problem.bounds, f=cfg.de_f, cr=cfg.de_cr,
-                pm_eta=cfg.pm_index, pm_prob=cfg.pm_prob,
+                rng, self.problem.bounds,
             )
             o = _evaluate_offspring(child, budget)
             self._insert(o.xs[0], o.fs[0])
@@ -482,6 +463,9 @@ def make_host(problem, config: HostConfig, budget: EvaluationBudget,
               rng: np.random.Generator):
     if config.population_size < problem.m + 1:
         raise ValueError("population must exceed the objective count")
+    if config.kind == "nsga2" and config.population_size < 4:
+        # each row mates from the population less its base: 3 or more members
+        raise ValueError("nsga2 needs a population of at least 4 to breed")
     cls = {"nsga2": Nsga2Host, "moead": MoeadHost, "smsemoa": SmsEmoaHost}[config.kind]
     return cls(problem, config, budget, rng)
 
@@ -489,9 +473,10 @@ def make_host(problem, config: HostConfig, budget: EvaluationBudget,
 # -- population-based ideal estimators ---------------------------------------
 
 
-def drp_beta(fe: int, fe_max: int, floor: float = 1e-3) -> float:
-    """Linearly decaying optimism offset, exactly ``floor`` at the budget end."""
-    return (1.0 - floor) * (fe_max - fe) / fe_max + floor
+def drp_beta(fe: int, fe_max: int) -> float:
+    """Linearly decaying optimism offset, exactly ``DRP_FLOOR`` at the budget
+    end."""
+    return (1.0 - DRP_FLOOR) * (fe_max - fe) / fe_max + DRP_FLOOR
 
 
 class BaselineEstimator:
@@ -525,7 +510,7 @@ class BaselineEstimator:
             return self.z_running.copy()
         span = np.maximum(z_max_pop - z_min_pop, RANGE_GUARD)
         if kind == "ut":
-            return self.z_running - self.config.beta_ut * span
+            return self.z_running - UT_BETA * span
         if kind == "drp":
-            return self.z_running - drp_beta(fe, fe_max, self.config.drp_floor) * span
+            return self.z_running - drp_beta(fe, fe_max) * span
         raise AssertionError(kind)

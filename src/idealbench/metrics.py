@@ -12,18 +12,12 @@ from operator import itemgetter
 import numpy as np
 
 
-def e_metric(
-    z_e: np.ndarray,
-    z_ide: np.ndarray,
-    z_nad: np.ndarray,
-    squared: bool = True,
-) -> float:
-    """Error of an estimated ideal point, normalized per objective.
+def e_metric(z_e: np.ndarray, z_ide: np.ndarray, z_nad: np.ndarray) -> float:
+    """Error of an estimated ideal point: the Euclidean norm of the
+    per-objective errors, each normalized by the true front's range.
 
-    With ``squared`` (the default) this is the Euclidean norm of the
-    normalized component errors; ``squared=False`` keeps the raw normalized
-    terms under the square root instead.  Estimates below the true ideal can
-    only arise off-problem and are clamped to zero error with a warning.
+    Estimates below the true ideal can only arise off-problem and are
+    clamped to zero error with a warning.
     """
     z_e = np.asarray(z_e, dtype=float)
     z_ide = np.asarray(z_ide, dtype=float)
@@ -34,9 +28,7 @@ def e_metric(
     if np.any(terms < 0):
         warnings.warn("estimate below the true ideal; clamping to zero error")
         terms = np.maximum(terms, 0.0)
-    if squared:
-        return float(math.sqrt(float(np.sum(terms**2))))
-    return float(math.sqrt(float(np.sum(terms))))
+    return float(math.sqrt(float(np.sum(terms**2))))
 
 
 def _staircase(pts: list, r0: float, r1: float) -> float:
@@ -101,19 +93,14 @@ def hv_exact(front: np.ndarray, ref: np.ndarray) -> float:
     raise ValueError("exact hypervolume supports 2 or 3 objectives only")
 
 
-def hv_normalized(
-    objs: np.ndarray,
-    ideal: np.ndarray,
-    nadir: np.ndarray,
-    ref_value: float = 1.1,
-) -> float:
+def hv_normalized(objs: np.ndarray, ideal: np.ndarray, nadir: np.ndarray) -> float:
     """Hypervolume after normalizing objectives by the true front's range,
-    with the reference point at ``ref_value`` in every coordinate."""
+    with the reference point at 1.1 in every coordinate."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     ideal = np.asarray(ideal, dtype=float)
     nadir = np.asarray(nadir, dtype=float)
     scaled = (objs - ideal) / (nadir - ideal)
-    ref = np.full(objs.shape[1], ref_value)
+    ref = np.full(objs.shape[1], 1.1)
     return hv_exact(scaled, ref)
 
 
@@ -143,9 +130,13 @@ def hv_monte_carlo(
     while done < samples:
         take = min(chunk, samples - done)
         u = lo + rng.random((take, ref.shape[0])) * (ref - lo)
+        cols = np.ascontiguousarray(u.T)  # one compare per objective column
         covered = np.zeros(take, dtype=bool)
         for p in pts:
-            covered |= np.all(u >= p, axis=1)
+            inside = cols[0] >= p[0]
+            for j in range(1, cols.shape[0]):
+                inside &= cols[j] >= p[j]
+            covered |= inside
         hit += int(covered.sum())
         done += take
     frac = hit / samples

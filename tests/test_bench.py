@@ -88,11 +88,6 @@ class TestRunTrial:
                       host=HostConfig(kind=host, population_size=20),
                       estimator=EstimatorConfig(kind=estimator), fe_max=400)
 
-    def test_digest_stable_and_sensitive(self):
-        a = small_config().digest()
-        assert a == small_config().digest()
-        assert a != small_config(estimator="eie").digest()
-
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             run_suite([small_config()], seeds=[0, 0])
@@ -174,6 +169,8 @@ class TestSuiteAndEmit:
         parallel = run_suite(configs, seeds=[0, 1], parallelism=2)
         for a, b in zip(serial, parallel):
             assert a.raw_row() == b.raw_row()
+            assert a.trajectory == b.trajectory
+            assert np.array_equal(a.final_f, b.final_f)
 
     def test_emit_round_trip(self, records, tmp_path):
         emit(records, tmp_path)
@@ -239,8 +236,7 @@ class TestSuiteAndEmit:
         def record(problem, estimator, e):
             return RunRecord(problem=problem, host="moead", estimator=estimator,
                              seed=0, fe_max=1000, e_value=e, hv_value=0.5,
-                             eie_fe_fraction=0.0, trajectory=[],
-                             config_digest="")
+                             eie_fe_fraction=0.0, trajectory=[])
         records = [record("mop1", "eie", 0.3), record("mop1", "running-min", 0.3),
                    record("mop2", "eie", 0.1), record("mop2", "running-min", 0.2)]
         text = format_report(build_report(records, reference="moead+eie"))
@@ -258,8 +254,7 @@ class TestSuiteAndEmit:
         def record(problem, estimator, seed):
             return RunRecord(problem=problem, host="moead", estimator=estimator,
                              seed=seed, fe_max=1000, e_value=0.1 * (seed + 1),
-                             hv_value=0.5, eie_fe_fraction=0.0, trajectory=[],
-                             config_digest="")
+                             hv_value=0.5, eie_fe_fraction=0.0, trajectory=[])
         records = [record("mop1", "eie", s) for s in range(5)]
         records += [record(p, "running-min", s)
                     for p in ("mop1", "mop2") for s in range(5)]

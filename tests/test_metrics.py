@@ -33,10 +33,6 @@ class TestEMetric:
             got = e_metric(np.array([-0.5, 0.0]), np.zeros(2), np.ones(2))
         assert got == 0.0
 
-    def test_unsquared_variant(self):
-        got = e_metric(np.array([0.09, 0.16]), np.zeros(2), np.ones(2), squared=False)
-        assert got == pytest.approx(0.5)
-
     def test_requires_positive_range(self):
         with pytest.raises(ValueError):
             e_metric(np.zeros(2), np.zeros(2), np.zeros(2))
