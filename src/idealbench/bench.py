@@ -171,8 +171,9 @@ def run_suite(
     parallelism: int | None = None,
 ) -> list:
     """Run every (config, seed) cell, in parallel across processes when
-    allowed, returning records in deterministic order.  A failed cell is
-    recorded as None in-place and does not stop the suite."""
+    allowed, returning one record per cell with configs outer and seeds
+    inner.  A failed cell is recorded as None in-place and does not stop
+    the suite."""
     seeds = [int(s) for s in seeds]
     if not seeds or len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be non-empty and distinct")
@@ -196,9 +197,13 @@ def run_suite(
     return results
 
 
+def cell_name(config: RunConfig, seed: int) -> str:
+    """How messages name a cell: ``problem/host+estimator seed N``."""
+    return f"{config.problem}/{config.host.kind}+{config.estimator.kind} seed {seed}"
+
+
 def _report_failure(config: RunConfig, seed: int, exc: Exception) -> None:
-    print(f"cell {config.problem}/{config.host.kind}+{config.estimator.kind}"
-          f" seed {seed} failed: {exc}")
+    print(f"cell {cell_name(config, seed)} failed: {exc}")
 
 
 def emit(records: list, out_dir: str | Path) -> dict:

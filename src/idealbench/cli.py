@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bench import (RunConfig, build_report, emit, default_fe_max,
+from .bench import (RunConfig, build_report, cell_name, emit, default_fe_max,
                     default_population_size, format_report, load_raw,
                     run_suite)
 from .core import make_rng
@@ -19,6 +19,9 @@ from .generator import (get_problem, preset_names, sample_pareto_front,
 from .hosts import ESTIMATOR_KINDS, HOST_KINDS, EstimatorConfig, HostConfig
 
 PF_GRID_DEFAULTS = {2: 1000, 3: 5151}
+CONFIG_KEYS = frozenset({"problem", "host", "estimator", "seeds", "fe_max",
+                         "pop_size", "epsilon", "snapshot_every",
+                         "scalarization", "output_dir"})
 
 
 @click.group()
@@ -92,6 +95,11 @@ def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
     file_cfg = {}
     if config_path:
         file_cfg = json.loads(Path(config_path).read_text())
+        unknown = sorted(set(file_cfg) - CONFIG_KEYS)
+        if unknown:
+            raise click.UsageError(
+                f"unknown key(s) in {config_path}: {', '.join(unknown)};"
+                f" known keys: {', '.join(sorted(CONFIG_KEYS))}")
 
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)
@@ -134,12 +142,16 @@ def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
         raise click.UsageError(exc.args[0]) from exc
     click.echo(f"running {len(configs)} config(s) x {len(seed_list)} seed(s)")
     records = run_suite(configs, seed_list, parallelism=workers)
+    jobs = [(cfg, seed) for cfg in configs for seed in seed_list]  # records' order
+    failed = [cell_name(*job) for job, rec in zip(jobs, records) if rec is None]
     done = [r for r in records if r is not None]
-    if not done:
-        raise click.ClickException("all cells failed")
-    emit(done, output_dir)
-    click.echo(f"emitted {len(done)} records to {output_dir}/"
-               f" (raw.csv, trajectory.csv, summary.json)")
+    if done:
+        emit(done, output_dir)
+        click.echo(f"emitted {len(done)} records to {output_dir}/"
+                   f" (raw.csv, trajectory.csv, summary.json)")
+    if failed:
+        raise click.ClickException(
+            f"{len(failed)} of {len(records)} cell(s) failed: {'; '.join(failed)}")
 
 
 @main.command()

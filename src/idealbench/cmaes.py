@@ -13,7 +13,9 @@ injected candidates in `tell`, and reports the four stopping criteria
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -65,13 +67,16 @@ class StopReport:
 EMPTY_REPORT = StopReport(frozenset())
 
 
-def _selection_weights(lam: int, n: int, active: bool = True) -> dict:
+@functools.lru_cache(maxsize=None)
+def _selection_weights(lam: int, n: int,
+                       active: bool = True) -> types.MappingProxyType:
     """Recombination weights and learning rates for one population size.
 
     Standard scheme with active covariance adaptation: the better half gets
     positive weights summing to one, the worse half gets negative weights
     scaled to keep the covariance positive definite.  ``active=False``
-    drops the negative half (plain rank-mu updates).
+    drops the negative half (plain rank-mu updates).  The result is cached
+    and shared, so it is a read-only mapping of read-only arrays.
     """
     mu = lam // 2
     raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, lam + 1))
@@ -98,10 +103,12 @@ def _selection_weights(lam: int, n: int, active: bool = True) -> dict:
     else:
         w_neg = neg
     weights = np.concatenate([w_pos, w_neg])
-    return dict(
+    w_pos.setflags(write=False)
+    weights.setflags(write=False)
+    return types.MappingProxyType(dict(
         mu=mu, weights=w_pos, all_weights=weights, mu_eff=mu_eff,
         c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c, c_1=c_1, c_mu=c_mu,
-    )
+    ))
 
 
 def _well_conditioned(eigvals: np.ndarray) -> bool:
@@ -445,10 +452,8 @@ class CmaProcedure:
         mean, sigma = self.mean, self.sigma
         d, b = self._sqrt_eigvals, self.scales[:, None] * self._eigvecs
 
-        if all(
-            np.all(mean == mean + 0.1 * sigma * d[i] * b[:, i])
-            for i in range(self.n)
-        ):
+        # column i is axis i's step, associated as (0.1 * sigma * d[i]) * b[:, i]
+        if np.all(mean[:, None] == mean[:, None] + (0.1 * sigma * d) * b):
             triggered.add("NoEffectAxis")
 
         diag_sd = self.axis_sd

@@ -113,25 +113,45 @@ def _distinct_triplets(
     pools: list, avoid: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Three distinct indices per row drawn from each row's pool of
-    distinct indices, none equal to the row's ``avoid`` entry."""
+    distinct indices, none equal to the row's ``avoid`` entry.
+
+    Each draw is the value of a scalar ``rng.integers(0, len(pool))``,
+    replayed from the raw 32-bit words that call consumes.  NumPy bounds a
+    word x by Lemire's multiply-and-reject ("Fast random integer generation
+    in an interval", ACM TOMACS 29(1), 2019): with m = x * k, it rejects x
+    while the low half of m is below (2**32 - k) % k and returns m >> 32.
+    Every value costs at least one word and every row at least three
+    values, so the words still owed are drawn in one block, and no word is
+    drawn that the scalar calls would not have consumed.  The replay holds
+    for pools of up to 2**32 members, where NumPy takes 32-bit words.
+    """
+    sizes = [len(pool) for pool in pools]
+    avoid = avoid.tolist() if avoid is not None else [None] * len(pools)
     for row, pool in enumerate(pools):
         # checked before any draw, so a rejected call leaves rng untouched
-        if len(pool) >= 4:
-            continue
-        usable = len(pool) - (avoid is not None and avoid[row] in pool)
-        if usable < 3:
+        if sizes[row] < 4 and sizes[row] - (avoid[row] in pool) < 3:
             raise ValueError(f"row {row}: fewer than 3 members to draw from")
-    out = np.empty((len(pools), 3), dtype=int)
-    for row, pool in enumerate(pools):
+    owed = 3 * len(pools)  # the fewest words the values still to come consume
+    words = iter(())
+    out = []
+    for pool, k, base in zip(pools, sizes, avoid):
+        threshold = (0xFFFFFFFF - (k - 1)) % k
         chosen = []
-        forbidden = {int(avoid[row])} if avoid is not None else set()
         while len(chosen) < 3:
-            cand = int(pool[rng.integers(0, len(pool))])
-            if cand not in forbidden:
+            x = next(words, None)
+            if x is None:
+                words = iter(rng.integers(0, 1 << 32, size=owed,
+                                          dtype=np.uint32).tolist())
+                continue
+            m = x * k
+            if m & 0xFFFFFFFF < threshold:
+                continue  # rejected: the same value takes the next word
+            cand = pool[m >> 32]
+            if cand != base and cand not in chosen:
                 chosen.append(cand)
-                forbidden.add(cand)
-        out[row] = chosen
-    return out
+                owed -= 1
+        out.append(chosen)
+    return np.array(out, dtype=int)
 
 
 def _initial_population(problem, size: int, budget: EvaluationBudget,
@@ -220,9 +240,7 @@ class Nsga2Host:
             (rank[left] == rank[right]) & (crowd[left] >= crowd[right])
         )
         base_idx = np.where(left_wins, left, right)
-        trip = _distinct_triplets(
-            [np.arange(k)] * self.pop_size, base_idx, rng
-        )
+        trip = _distinct_triplets([range(k)] * self.pop_size, base_idx, rng)
         children = de_pm_offspring(
             self.pop_x[base_idx], self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]],
             rng, self.problem.bounds,
@@ -317,17 +335,18 @@ class MoeadHost:
         self.neighbors = np.argsort(d, kind="stable", axis=1)[:, :t_size]
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
         self.z_ref = self.pop_f.min(axis=0)
+        # mating pools as lists, built once: the triplet draw indexes them
+        self._neighbor_pools = self.neighbors.tolist()
+        self._full_pool = list(range(self.pop_f.shape[0]))
 
     def _scale(self) -> np.ndarray:
         return np.maximum(self.pop_f.max(axis=0) - self.z_ref, RANGE_GUARD)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        k = self.pop_f.shape[0]
-        use_nbhd = rng.random(k) < MATE_NEIGHBORHOOD_PROB
-        pools = [
-            self.neighbors[i] if use_nbhd[i] else np.arange(k) for i in range(k)
-        ]
+        use_nbhd = rng.random(self.pop_f.shape[0]) < MATE_NEIGHBORHOOD_PROB
+        pools = [nbhd if use else self._full_pool
+                 for nbhd, use in zip(self._neighbor_pools, use_nbhd.tolist())]
         trip = _distinct_triplets(pools, None, rng)
         children = de_pm_offspring(
             self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]], self.pop_x[trip[:, 2]],
@@ -442,7 +461,7 @@ class SmsEmoaHost:
             if budget.exhausted:
                 break
             k = self.pop_f.shape[0]
-            trip = _distinct_triplets([np.arange(k)], None, rng)[0]
+            trip = _distinct_triplets([range(k)], None, rng)[0]
             child = de_pm_offspring(
                 self.pop_x[trip[0]][None, :],
                 self.pop_x[trip[1]][None, :],

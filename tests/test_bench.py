@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idealbench import core, hosts, metrics
+from idealbench import bench, core, hosts, metrics
 from idealbench.bench import (RunConfig, RunRecord, build_report,
                               default_fe_max, default_population_size, emit,
                               format_report, load_raw, run_suite, run_trial,
@@ -343,6 +343,45 @@ class TestCli:
         assert result.exit_code == 0, result.output
         raw = (res / "raw.csv").read_text()
         assert ",ut," in raw and "running-min" not in raw
+
+    def test_config_file_unknown_keys_rejected(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "mop1", "host": "moead", "seeds": [0], "fe_max": 1200,
+            "pop_size": 30, "popsize": 99, "neighborhood_size": 5,
+        }))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial",
+                            lambda *a: calls.append(a) or run_trial(*a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--out", str(res), "--workers", "1",
+        ])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "neighborhood_size, popsize" in result.output
+        assert "Traceback" not in result.output
+        assert not calls and not res.exists()
+
+    def test_failed_cell_exits_nonzero_after_emitting_the_rest(self, tmp_path,
+                                                              monkeypatch):
+        def flaky(config, seed):
+            if seed == 1:
+                raise RuntimeError("injected failure")
+            return run_trial(config, seed)
+
+        monkeypatch.setattr(bench, "run_trial", flaky)
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--problem", "mop1", "--host", "moead", "--estimator",
+            "running-min", "--seeds", "0,1,2", "--fe-max", "1200",
+            "--pop-size", "30", "--out", str(res), "--workers", "1",
+        ])
+        assert result.exit_code == 1, result.output
+        assert "emitted 2 records" in result.output
+        assert "1 of 3 cell(s) failed: mop1/moead+running-min seed 1" in result.output
+        with open(res / "raw.csv") as fh:
+            seeds = [row["seed"] for row in csv.DictReader(fh)]
+        assert seeds == ["0", "2"]
 
     @pytest.mark.parametrize("problem,host,estimator,message", [
         ("mop1", "nsga2", "drp", "moead"),

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from idealbench.cmaes import MAX_CONDITION, CmaProcedure, default_lambda
+from idealbench.cmaes import (MAX_CONDITION, CmaProcedure, _selection_weights,
+                              default_lambda)
 from idealbench.core import BoxBounds, make_rng
 
 from .reference_cma import reference_cma_evals_to_target
@@ -263,6 +264,37 @@ class TestStopping:
         proc.tell(xs, sphere(xs))
         proc.sigma = 1e-30
         assert "NoEffectAxis" in proc.check_stop().triggered
+
+    def test_no_effect_axis_matches_per_axis_loop(self):
+        proc, rng = fresh_procedure(22)
+        for _ in range(3):
+            xs = proc.ask(rng)
+            proc.tell(xs, sphere(xs))
+        mean, d = proc.mean, proc._sqrt_eigvals
+        b = proc.scales[:, None] * proc._eigvecs
+        seen = set()
+        # across the sigmas where the axes lose their effect one by one
+        for sigma in np.geomspace(1e-19, 1e-13, 200):
+            proc.sigma = sigma
+            want = all(np.all(mean == mean + 0.1 * sigma * d[i] * b[:, i])
+                       for i in range(proc.n))
+            assert ("NoEffectAxis" in proc.check_stop().triggered) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_selection_weights_cached_and_read_only(self):
+        for lam, n, active in [(8, 7, True), (56, 7, True), (8, 7, False), (6, 2, True)]:
+            got = _selection_weights(lam, n, active)
+            assert _selection_weights(lam, n, active) is got
+            fresh = _selection_weights.__wrapped__(lam, n, active)
+            assert got.keys() == fresh.keys()
+            for key, value in fresh.items():
+                np.testing.assert_array_equal(got[key], value)
+            for key in ("weights", "all_weights"):
+                with pytest.raises(ValueError):
+                    got[key][0] = 1.0
+            with pytest.raises(TypeError):
+                got["mu"] = 0
 
     def test_divergence_flags_exceptional(self):
         proc, rng = fresh_procedure(18)

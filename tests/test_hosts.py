@@ -34,6 +34,21 @@ def brute_force_fronts(objs):
     return fronts
 
 
+def scalar_distinct_triplets(pools, avoid, rng):
+    """The earlier triplet kernel: one scalar ``rng.integers`` per draw."""
+    out = np.empty((len(pools), 3), dtype=int)
+    for row, pool in enumerate(pools):
+        chosen = []
+        forbidden = {int(avoid[row])} if avoid is not None else set()
+        while len(chosen) < 3:
+            cand = int(pool[rng.integers(0, len(pool))])
+            if cand not in forbidden:
+                chosen.append(cand)
+                forbidden.add(cand)
+        out[row] = chosen
+    return out
+
+
 def leave_one_out_contributions(objs, ref):
     """The earlier contribution kernel: the whole front's hypervolume minus
     each leave-one-out hypervolume."""
@@ -97,7 +112,51 @@ class TestVariation:
         assert not np.array_equal(out, xs)
 
 
+def moead_pools(rng, k=100, t=10):
+    """MOEA/D-style rows: a mix of T-member neighbourhoods and full pools."""
+    full = np.arange(k)
+    return [np.sort(rng.choice(k, t, replace=False)) if rng.random() < 0.9
+            else full for _ in range(k)]
+
+
 class TestDistinctTriplets:
+    @staticmethod
+    def assert_matches_scalar(pools, avoid, seed, rounds=5):
+        fast, slow = make_rng(seed), make_rng(seed)
+        for _ in range(rounds):
+            got = hosts._distinct_triplets(pools, avoid, fast)
+            want = scalar_distinct_triplets(pools, avoid, slow)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            # both consumed the same words, down to PCG64's half-used one
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_moead_rows_match_scalar_draws(self, seed):
+        pools = moead_pools(make_rng(100 + seed))
+        self.assert_matches_scalar(pools, None, seed)
+        self.assert_matches_scalar([p.tolist() for p in pools], None, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_nsga2_rows_match_scalar_draws(self, seed):
+        avoid = make_rng(200 + seed).integers(0, 211, size=211)
+        self.assert_matches_scalar([np.arange(211)] * 211, avoid, seed)
+        self.assert_matches_scalar([range(211)] * 211, avoid, seed)
+
+    @pytest.mark.parametrize("pool", [np.arange(21), list(range(21)), range(21),
+                                      [7, 3, 9]])
+    def test_single_row_matches_scalar_draws(self, pool):
+        self.assert_matches_scalar([pool], None, 5, rounds=50)
+
+    def test_rejection_branch_matches_scalar_draws(self):
+        # at a bound of 2**31 + 5, Lemire's method rejects about half the
+        # words; at 3 * 2**30 a quarter of them land exactly on the threshold
+        pools = ([range(2**31 + 5)] * 40 + [range(3 * 2**30)] * 20
+                 + [np.arange(10)] * 5)
+        self.assert_matches_scalar(pools, None, 6)
+        self.assert_matches_scalar(pools, np.arange(65), 7)
+
     def test_rows_are_distinct_and_avoid_the_base(self):
         rng = make_rng(21)
         pools = [np.arange(4), np.arange(10, 13), np.arange(50)]
