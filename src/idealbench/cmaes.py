@@ -75,18 +75,17 @@ def _selection_weights(lam: int, n: int,
     Standard scheme with active covariance adaptation: the better half gets
     positive weights summing to one, the worse half gets negative weights
     scaled to keep the covariance positive definite.  ``active=False``
-    drops the negative half (plain rank-mu updates).  The result is cached
-    and shared, so it is a read-only mapping of read-only arrays.
+    drops the negative half (plain rank-mu updates).  Below four
+    candidates mu is 1 and so c_mu is 0: no rank-mu update acts, and the
+    negative half is dropped too.  The result is cached and shared, so it is
+    a read-only mapping of read-only arrays.
     """
-    mu = lam // 2
+    mu = max(1, lam // 2)
     raw = np.log((lam + 1) / 2.0) - np.log(np.arange(1, lam + 1))
     pos = raw[:mu]
-    w_pos = pos / pos.sum()
+    # a lone candidate's raw weight is log(1) - log(1) = 0
+    w_pos = pos / pos.sum() if mu > 1 else np.ones(1)
     mu_eff = 1.0 / float(np.sum(w_pos**2))
-    neg = raw[mu:] if active else np.empty(0)
-    mu_eff_neg = (
-        float(neg.sum()) ** 2 / float(np.sum(neg**2)) if neg.size else 0.0
-    )
     c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
     d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
     c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
@@ -94,6 +93,10 @@ def _selection_weights(lam: int, n: int,
     c_mu = min(
         1.0 - c_1,
         2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff),
+    )
+    neg = raw[mu:] if active and c_mu > 0 else np.empty(0)
+    mu_eff_neg = (
+        float(neg.sum()) ** 2 / float(np.sum(neg**2)) if neg.size else 0.0
     )
     if neg.size:
         alpha_mu = 1.0 + c_1 / c_mu

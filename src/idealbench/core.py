@@ -69,27 +69,72 @@ def dominates(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(np.all(u <= v) and np.any(u < v))
 
 
-def fast_non_dominated_sort(objs: np.ndarray) -> list:
+def _dense_ranks(objs: np.ndarray) -> np.ndarray:
+    """Rank of every value within its objective column, shape (m, N): equal
+    values share a rank and ranks count up by one, in the narrowest
+    unsigned type that holds N.  Ranks order exactly as the floats compare
+    (``-0.0 == 0.0``, infinities at the ends), whatever the sort does with
+    ties."""
+    cols = objs.T
+    order = np.argsort(cols, axis=1)
+    srt = np.take_along_axis(cols, order, axis=1)
+    step = np.zeros(cols.shape, dtype=np.min_scalar_type(objs.shape[0]))
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=step[:, 1:])
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=step.dtype),
+                      axis=1)
+    return ranks
+
+
+def _copies(ranks: np.ndarray, dtype) -> np.ndarray:
+    """How many rows (itself included) equal each row."""
+    order = np.lexsort(ranks)
+    srt = ranks[:, order]
+    first = np.ones(srt.shape[1], dtype=bool)
+    np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=first[1:])
+    group = np.cumsum(first) - 1
+    out = np.empty(srt.shape[1], dtype=dtype)
+    out[order] = np.bincount(group)[group]
+    return out
+
+
+def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     """Partition into dominance fronts (arrays of indices in input order,
     best first); ``fast_non_dominated_sort(objs)[0]`` is the non-dominated
-    subset."""
+    subset.  With ``count``, peeling stops at the shortest prefix of fronts
+    that holds ``count`` or more members.
+
+    Rows are compared on the dense ranks of each objective, which order
+    exactly like the floats and compare several times faster.  NaN, which
+    float compares leave incomparable, has no such rank and is rejected.
+    ``le[i, j]`` (i no worse than j in every objective) holds for j's
+    dominators and for j's equal copies; counting the copies out once gives
+    each row's dominators without the transposed strict-dominance matrix.
+    """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
-    if objs.shape[0] == 0:
+    n = objs.shape[0]
+    if n == 0:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
+    if np.isnan(objs).any():
+        raise ValueError("NaN objective values have no dominance order")
+    ranks = _dense_ranks(objs)
     # one pairwise compare per objective; an (N, N, m) broadcast reduced
     # over its short last axis is several times slower
-    le = objs[:, None, 0] <= objs[None, :, 0]  # [i, j]: i no worse than j
-    for j in range(1, objs.shape[1]):
-        le &= objs[:, None, j] <= objs[None, :, j]
-    dom = le & ~le.T  # [i, j]: i dominates j
-    n_dom = dom.sum(axis=0).astype(int)
-    fronts = []
-    current = np.flatnonzero(n_dom == 0)
-    while current.size:
-        fronts.append(current)
-        n_dom[current] = -1
-        n_dom -= dom[current].sum(axis=0)
-        current = np.flatnonzero(n_dom == 0)
+    le = ranks[0][:, None] <= ranks[0][None, :]  # [i, j]: i no worse than j
+    for col in ranks[1:]:
+        le &= col[:, None] <= col[None, :]
+    short = np.min_scalar_type(-n - 1)  # signed, holds -n - 1 .. n
+    n_dom = le.sum(axis=0, dtype=short) - _copies(ranks, short)
+    fronts = [np.flatnonzero(n_dom == 0)]
+    left = (n if count is None else min(count, n)) - fronts[0].size
+    while left > 0:
+        # le[front] marks the rows the front dominates, and the front's own
+        # rows (each row's copies are in its front), which leave the count
+        front = fronts[-1]
+        n_dom -= le[front].sum(axis=0, dtype=short)
+        n_dom[front] = -1
+        fronts.append(np.flatnonzero(n_dom == 0))
+        left -= fronts[-1].size
     return fronts
 
 

@@ -81,23 +81,50 @@ class GeneratorParams:
             if abs(sum(self.c_dis) - 1.0) > 1e-9 or any(c < 0 for c in self.c_dis):
                 raise ValueError("c_dis must be non-negative and sum to 1")
 
+    # The members below are built once per instance (cached_property writes
+    # the instance dict directly, which a frozen dataclass allows) and are
+    # read-only, as every caller shares them.
+
     @cached_property
     def bounds(self) -> BoxBounds:
-        # built once per instance (cached_property writes the instance dict
-        # directly, which a frozen dataclass allows); read-only, as every
-        # caller shares it
         lower = np.concatenate([np.zeros(self.s), -np.ones(self.n - self.s)])
         upper = np.ones(self.n)
-        lower.flags.writeable = upper.flags.writeable = False
-        return BoxBounds(lower, upper)
+        return BoxBounds(_frozen(lower), _frozen(upper))
 
-    @property
+    @cached_property
     def theta_matrix(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
+        return _frozen(np.asarray(self.theta, dtype=float))
 
-    @property
+    @cached_property
     def w_vector(self) -> np.ndarray:
-        return np.asarray(self.w, dtype=float)
+        return _frozen(np.asarray(self.w, dtype=float))
+
+    @cached_property
+    def p_vector(self) -> np.ndarray:
+        return _frozen(np.asarray(self.p, dtype=float))
+
+    @cached_property
+    def chat_vals(self) -> np.ndarray:
+        """``chat(c_pos)``, the remap's mixing coefficients."""
+        return _frozen(chat(self.c_pos))
+
+    @cached_property
+    def distance_phase(self) -> np.ndarray:
+        """Per-variable phase of the distance anchors, shape (n - s,)."""
+        n = self.n
+        j = np.arange(self.s + 1, n + 1, dtype=float)  # 1-based variable indices
+        return _frozen((n + 2) * j * np.pi / (2 * n))
+
+    @cached_property
+    def ratio_frame(self) -> tuple:
+        """``(c, normal matrix, r0)`` of ``distance_ratio`` for ``c_dis``."""
+        c, nmat, r0 = _ratio_frame(self.c_dis)
+        return _frozen(c), _frozen(nmat), r0
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def sigma(x_pos: np.ndarray, m: int) -> np.ndarray:
@@ -180,11 +207,9 @@ def position_value(x_pos: np.ndarray, params: GeneratorParams):
     instances.
     """
     sig = sigma(x_pos, params.m)
-    ch = chat(params.c_pos)
-    xhat = remap(sig, ch, params.gamma)
+    xhat = remap(sig, params.chat_vals, params.gamma)
     y = simplex_map(xhat)
-    p = np.asarray(params.p, dtype=float)
-    h = np.power(y, p)
+    h = np.power(y, params.p_vector)
     if params.inverted:
         h = 1.0 - h
     return h, y
@@ -197,19 +222,28 @@ def _normal_matrix(m: int) -> np.ndarray:
     return mat
 
 
+def _ratio_frame(c_dis) -> tuple:
+    c = np.asarray(c_dis, dtype=float)
+    m = c.shape[0]
+    nmat = _normal_matrix(m)
+    r0 = float(((np.eye(m) - c) @ nmat.T).max())
+    return c, nmat, r0
+
+
+def _ratio(y: np.ndarray, c: np.ndarray, nmat: np.ndarray,
+           r0: float) -> np.ndarray:
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    r = ((y - c) @ nmat.T).max(axis=1)
+    return np.clip(r / r0, 0.0, 1.0)
+
+
 def distance_ratio(y: np.ndarray, c_dis) -> np.ndarray:
     """Relative distance of simplex points from the center ``c_dis``.
 
     0 at the center, 1 at the farthest simplex vertex; level sets are
     simplex-shaped contours around the center.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    c = np.asarray(c_dis, dtype=float)
-    m = c.shape[0]
-    nmat = _normal_matrix(m)
-    r = ((y - c) @ nmat.T).max(axis=1)
-    r0 = ((np.eye(m) - c) @ nmat.T).max()
-    return np.clip(r / r0, 0.0, 1.0)
+    return _ratio(y, *_ratio_frame(c_dis))
 
 
 def scale_b(ell: np.ndarray, beta: float, m: int) -> np.ndarray:
@@ -230,18 +264,15 @@ def _distance_anchor(ell: np.ndarray, params: GeneratorParams) -> np.ndarray:
     Both the evaluator and the optimal-set sampler call this, so sampled
     optima reproduce ``t = 0`` bitwise.
     """
-    n, s = params.n, params.s
-    j = np.arange(s + 1, n + 1, dtype=float)  # 1-based variable indices
-    phase = (n + 2) * j * np.pi / (2 * n)
     b_shape = scale_b(ell, params.a2, params.m)
-    arg = params.a5 * np.pi * ell[:, None] + phase[None, :]
+    arg = params.a5 * np.pi * ell[:, None] + params.distance_phase[None, :]
     return 0.9 * b_shape[:, None] * np.cos(arg)
 
 
 def _ell_of(y: np.ndarray, params: GeneratorParams) -> np.ndarray:
     if params.c_dis is None:
         return np.zeros(y.shape[0])
-    return distance_ratio(y, params.c_dis)
+    return _ratio(y, *params.ratio_frame)
 
 
 def _distance_from_ell(
@@ -308,8 +339,7 @@ def sample_pareto_front(params: GeneratorParams, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     y = _simplex_lattice(params.m, count)
-    p = np.asarray(params.p, dtype=float)
-    h = np.power(y, p)
+    h = np.power(y, params.p_vector)
     if params.inverted:
         h = 1.0 - h
     return h * params.w_vector

@@ -193,29 +193,37 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def nsga2_select(objs: np.ndarray, count: int) -> np.ndarray:
-    """Environmental selection: fill whole fronts, split the last one by
-    crowding distance (boundary points first)."""
+def _surviving_fronts(objs: np.ndarray, count: int) -> list:
+    """``nsga2_select``'s survivors, grouped by the front each comes from,
+    best front first."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     if objs.shape[0] < count:
         raise ValueError("cannot select more members than available")
-    chosen: list = []
-    for front in fast_non_dominated_sort(objs):
-        if len(chosen) + front.size <= count:
-            chosen.extend(front.tolist())
-            if len(chosen) == count:
-                break
-        else:
+    kept = []
+    need = count
+    for front in fast_non_dominated_sort(objs, count=count):
+        if front.size > need:
             dist = crowding_distance(objs[front])
-            order = np.argsort(-dist, kind="stable")
-            need = count - len(chosen)
-            chosen.extend(front[order[:need]].tolist())
-            break
-    return np.asarray(chosen, dtype=int)
+            front = front[np.argsort(-dist, kind="stable")[:need]]
+        kept.append(front)
+        need -= front.size
+    return kept
+
+
+def nsga2_select(objs: np.ndarray, count: int) -> np.ndarray:
+    """Environmental selection: fill whole fronts, split the last one by
+    crowding distance (boundary points first)."""
+    return np.concatenate(_surviving_fronts(objs, count))
 
 
 class Nsga2Host:
-    """Dominance-based host: non-dominated sorting plus crowding."""
+    """Dominance-based host: non-dominated sorting plus crowding.
+
+    ``fronts`` holds the population's fronts.  Selection keeps each
+    survivor's front: all its dominators sit in earlier fronts, which are
+    kept whole.  So the survivors' fronts are the contiguous runs that
+    selection lays them out in, and only the initial population is sorted.
+    """
 
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
                  rng: np.random.Generator):
@@ -223,13 +231,13 @@ class Nsga2Host:
         self.pop_size = config.population_size
         self.z_ref = None  # dominance selection ignores the reference point
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
+        self.fronts = fast_non_dominated_sort(self.pop_f)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        fronts = fast_non_dominated_sort(self.pop_f)
         rank = np.empty(self.pop_f.shape[0], dtype=int)
         crowd = np.empty(self.pop_f.shape[0])
-        for level, front in enumerate(fronts):
+        for level, front in enumerate(self.fronts):
             rank[front] = level
             crowd[front] = crowding_distance(self.pop_f[front])
 
@@ -249,8 +257,12 @@ class Nsga2Host:
 
         pool_x = np.vstack([self.pop_x, o1.xs, o2.xs])
         pool_f = np.vstack([self.pop_f, o1.fs, o2.fs])
-        keep = nsga2_select(pool_f, self.pop_size)
+        kept = _surviving_fronts(pool_f, self.pop_size)
+        keep = np.concatenate(kept)
         self.pop_x, self.pop_f = pool_x[keep], pool_f[keep]
+        ends = np.cumsum([front.size for front in kept])
+        self.fronts = [np.arange(end - front.size, end)
+                       for end, front in zip(ends, kept)]
         return o2
 
 

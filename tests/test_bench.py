@@ -107,12 +107,15 @@ class TestKernelOracles:
                         fe_max=600 if host == "smsemoa" else 2_000,
                         snapshot_every=200)
         shipped = run_trial(cfg, seed=5)
-        calls = {"sort": 0, "hvc": 0, "hv": 0}
+        calls = {"sort": 0, "stopped_sort": 0, "hvc": 0, "hv": 0}
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                # the sort's ``count`` reaches the oracle, which applies the
+                # same stop rule
+                calls["stopped_sort"] += kwargs.get("count") is not None
+                return fn(*args, **kwargs)
             return wrapper
 
         oracle_hv = counted("hv", reference_hv)
@@ -137,6 +140,8 @@ class TestKernelOracles:
         calls, snapshots = self.run_with_oracles(problem, host, monkeypatch,
                                                  hv_only=False)
         assert (calls["sort"] > 0) == (host != "moead")
+        # only nsga2 stops the sort early; smsemoa needs its worst front
+        assert (calls["stopped_sort"] > 0) == (host == "nsga2")
         assert (calls["hvc"] > 0) == (host == "smsemoa")
         assert calls["hv"] == snapshots  # hv_normalized, once per snapshot
 

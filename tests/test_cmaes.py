@@ -180,6 +180,36 @@ class TestTell:
         with pytest.warns(UserWarning):
             proc.tell(xs, fs)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_fewer_than_four_candidates(self, rows):
+        # mu is 1, so the mean moves onto the best candidate; c_mu is 0, so
+        # no rank-mu or negative update may act (it divided by c_mu)
+        weights = _selection_weights(rows, 7)
+        assert weights["mu"] == 1 and weights["c_mu"] == 0.0
+        assert weights["all_weights"].tolist() == [1.0]
+        proc, rng = fresh_procedure(11)
+        xs = proc.ask(rng)[:rows]
+        fs = sphere(xs)
+        proc.tell(xs, fs)
+        np.testing.assert_allclose(proc.mean, xs[np.argmin(fs)], rtol=0, atol=1e-12)
+        assert np.isfinite(proc.sigma) and proc.sigma > 0
+        assert np.linalg.eigvalsh(proc.cov).min() > 0
+        xs = proc.ask(rng)  # a full generation still follows
+        proc.tell(xs, sphere(xs))
+        assert proc.generation == 2
+
+    def test_non_finite_fitness_leaving_three_candidates(self):
+        proc, rng = fresh_procedure(12)
+        xs = proc.ask(rng)
+        assert len(xs) == 9
+        fs = sphere(xs)
+        fs[:6] = [np.nan, np.inf, -np.inf, np.nan, np.nan, np.inf]
+        with pytest.warns(UserWarning):
+            proc.tell(xs, fs)
+        np.testing.assert_allclose(proc.mean, xs[6 + np.argmin(fs[6:])],
+                                   rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(proc.cov).min() > 0
+
     def test_matches_reference_within_factor_two(self):
         def run_mine(seed):
             rng = make_rng(seed)

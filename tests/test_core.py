@@ -47,9 +47,21 @@ class TestDominates:
             assert dominates(u, w)
 
 
-def reference_fronts(objs: np.ndarray) -> list:
+def shortest_prefix(fronts: list, count: int) -> list:
+    """The fewest leading fronts that hold ``count`` or more members."""
+    out, held = [], 0
+    for front in fronts:
+        if held >= count:
+            break
+        out.append(front)
+        held += front.size
+    return out
+
+
+def reference_fronts(objs: np.ndarray, count: int | None = None) -> list:
     """The sort's earlier body: the dominance matrix from an (N, N, m)
-    broadcast reduced with all/any, then the same peel loop."""
+    broadcast reduced with all/any, then the same peel loop over every
+    front; with ``count``, the shortest prefix holding that many members."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     if objs.shape[0] == 0:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
@@ -64,7 +76,13 @@ def reference_fronts(objs: np.ndarray) -> list:
         n_dom[current] = -1
         n_dom -= dom[current].sum(axis=0)
         current = np.flatnonzero(n_dom == 0)
-    return fronts
+    return fronts if count is None else shortest_prefix(fronts, count)
+
+
+def assert_same_fronts(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def first_front(objs):
@@ -101,10 +119,50 @@ class TestSortOracle:
     def test_fronts_match_broadcast_oracle(self, rows):
         # small integer objectives force ties and duplicate rows
         objs = np.asarray(rows, dtype=float)
-        got, want = fast_non_dominated_sort(objs), reference_fronts(objs)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert_same_fronts(fast_non_dominated_sort(objs), reference_fronts(objs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_float_rows_across_rank_widths(self, m, size, seed):
+        # 255 rows is the last uint8 rank width, 256 the first uint16
+        rng = make_rng(seed)
+        objs = rng.random((size, m))
+        objs += rng.random((size, 1))  # a shared shift per row: many fronts
+        objs[rng.random(size) < 0.1] = objs[0]  # equal copies of one row
+        assert_same_fronts(fast_non_dominated_sort(objs), reference_fronts(objs))
+
+    @pytest.mark.parametrize("size", [255, 256, 700])
+    def test_pool_sized_float_rows(self, size):
+        rng = make_rng(size)
+        objs = np.round(rng.random((size, 3)) + rng.random((size, 1)), 3)
+        assert_same_fronts(fast_non_dominated_sort(objs), reference_fronts(objs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda m: st.lists(
+        st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]),
+                 min_size=m, max_size=m),
+        min_size=1, max_size=40)))
+    def test_signed_zeros_and_infinities(self, rows):
+        # -0.0 == 0.0 as floats compare, and the infinities tie with each other
+        objs = np.asarray(rows, dtype=float)
+        assert_same_fronts(fast_non_dominated_sort(objs), reference_fronts(objs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 120), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_count_stops_at_shortest_prefix(self, m, size, seed, data):
+        objs = np.round(make_rng(seed).random((size, m)), 1)
+        count = data.draw(st.integers(1, size))
+        full = reference_fronts(objs)
+        got = fast_non_dominated_sort(objs, count=count)
+        assert_same_fronts(got, shortest_prefix(full, count))
+        held = np.cumsum([f.size for f in got])
+        assert held[-1] >= count and (held.size == 1 or held[-2] < count)
+
+    def test_nan_rejected(self):
+        objs = np.array([[0.0, 1.0], [np.nan, 0.5], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            fast_non_dominated_sort(objs)
 
 
 class TestBounds:

@@ -253,6 +253,38 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             b.lower[0] = 0.5
 
+    @pytest.mark.parametrize("name", ["mop11", "mop7"])
+    def test_constants_built_once_and_read_only(self, name):
+        params = gen.preset(name)
+        n, s = params.n, params.s
+        j = np.arange(s + 1, n + 1, dtype=float)
+        expected = {
+            "chat_vals": gen.chat(params.c_pos),
+            "theta_matrix": np.asarray(params.theta, dtype=float),
+            "w_vector": np.asarray(params.w, dtype=float),
+            "p_vector": np.asarray(params.p, dtype=float),
+            "distance_phase": (n + 2) * j * np.pi / (2 * n),
+        }
+        for attr, want in expected.items():
+            got = getattr(params, attr)
+            assert getattr(params, attr) is got
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.5
+
+    @pytest.mark.parametrize("name", ["mop7", "mop13"])
+    def test_ratio_frame_built_once_and_read_only(self, name):
+        params = gen.preset(name)
+        c, nmat, r0 = frame = params.ratio_frame
+        assert params.ratio_frame is frame
+        assert nmat.tobytes() == gen._normal_matrix(params.m).tobytes()
+        y = np.random.default_rng(0).dirichlet(np.ones(params.m), 20)
+        assert (gen._ratio(y, c, nmat, r0).tobytes()
+                == gen.distance_ratio(y, params.c_dis).tobytes())
+        for array in (c, nmat):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     def test_ideal_and_scale_vector(self):
         prob = gen.get_problem("mop1")
         assert prob.ideal.tolist() == [0.0, 0.0]

@@ -17,6 +17,8 @@ from idealbench.hosts import (BaselineEstimator, EstimatorConfig, HostConfig,
                               smsemoa_select)
 from idealbench.metrics import hv_exact
 
+from .test_core import assert_same_fronts
+
 UNIT = BoxBounds(np.zeros(4), np.ones(4))
 
 
@@ -425,6 +427,31 @@ class TestHostsEndToEnd:
             make_host(problem, HostConfig(kind="nsga2", population_size=3),
                       budget, make_rng(23))
         assert budget.used == 0
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_carried_fronts_match_a_fresh_sort(self, name):
+        # the host sorts only its initial population; selection hands on
+        # the survivors' fronts as contiguous runs
+        problem = get_problem(name)
+        rng = make_rng(31)
+        pop, tail = 30, 7
+        budget = EvaluationBudget(pop * 9 + tail, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="nsga2", population_size=pop),
+                         budget, rng)
+        assert_same_fronts(host.fronts, fast_non_dominated_sort(host.pop_f))
+        empty = OffspringBatch.empty(problem.n, problem.m)
+        most_fronts, sizes = 0, []
+        while not budget.exhausted:
+            o1 = empty
+            if len(sizes) % 2:  # injected rows join the pool as well
+                xs = problem.bounds.sample(5, rng)
+                o1 = OffspringBatch(xs, problem.evaluate_batch(xs),
+                                    np.zeros(5, dtype=int))
+            sizes.append(host.step(o1, budget, rng).size)
+            assert_same_fronts(host.fronts, fast_non_dominated_sort(host.pop_f))
+            most_fronts = max(most_fronts, len(host.fronts))
+        assert sizes == [pop] * 8 + [tail]  # the last step's o2 is cut short
+        assert most_fronts > 1
 
     def test_budget_exhaustion_mid_step(self):
         problem = get_problem("mop1")
