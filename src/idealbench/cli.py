@@ -85,7 +85,8 @@ def _split(value: str) -> list:
 @click.option("--scalarization", default=None,
               type=click.Choice(["tchebycheff", "weighted-sum"]))
 @click.option("--paper-protocol", is_flag=True,
-              help="Full-scale protocol: 30 seeds, 200k/400k evaluations.")
+              help="Full-scale protocol: 30 seeds, 200k/400k evaluations;"
+                   " excludes --seeds and --fe-max.")
 @click.option("--out", "output_dir", type=click.Path(file_okay=False), default="results")
 @click.option("--workers", type=int, default=None,
               help="Process count; also via IDEALBENCH_WORKERS.")
@@ -100,6 +101,16 @@ def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
             raise click.UsageError(
                 f"unknown key(s) in {config_path}: {', '.join(unknown)};"
                 f" known keys: {', '.join(sorted(CONFIG_KEYS))}")
+
+    if paper_protocol:  # it sets both, so a given value would be ignored
+        given = [opt for opt, flag in (("--seeds", seeds), ("--fe-max", fe_max))
+                 if flag is not None]
+        given += [f"'{key}' in {config_path}" for key in ("seeds", "fe_max")
+                  if key in file_cfg]
+        if given:
+            raise click.UsageError(
+                f"--paper-protocol sets the seeds and the budget;"
+                f" drop {', '.join(given)}")
 
     def pick(flag, key, default):
         return flag if flag is not None else file_cfg.get(key, default)

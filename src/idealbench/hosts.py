@@ -425,44 +425,101 @@ def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
+def _least_contributor(front: np.ndarray, ref: np.ndarray) -> int:
+    """Position, within the worst front's objective rows, of the member
+    SMS-EMOA drops: the only one, else the smallest exclusive hypervolume
+    contributor (the first on ties)."""
+    if front.shape[0] == 1:
+        return 0
+    return int(np.argmin(hv_contributions(front, ref)))
+
+
 def smsemoa_select(objs: np.ndarray, count: int, ref: np.ndarray) -> np.ndarray:
     """Drop members of the worst front by smallest exclusive hypervolume
     contribution until ``count`` remain; better fronts are never touched."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     alive = np.arange(objs.shape[0])
     while alive.size > count:
-        fronts = fast_non_dominated_sort(objs[alive])
-        worst = fronts[-1]
-        if worst.size == 1:
-            drop_local = int(worst[0])
-        else:
-            contrib = hv_contributions(objs[alive][worst], ref)
-            drop_local = int(worst[int(np.argmin(contrib))])
-        alive = np.delete(alive, drop_local)
+        worst = fast_non_dominated_sort(objs[alive])[-1]
+        drop = worst[_least_contributor(objs[alive][worst], ref)]
+        alive = np.delete(alive, drop)
     return alive
+
+
+def _compare(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(le, ge)`` over row pairs: ``le[i, j]`` when a[i] is no worse than
+    b[j] in every objective, ``ge[i, j]`` when it is no better.  So a[i]
+    dominates b[j] where ``le & ~ge`` and is dominated where ``ge & ~le``."""
+    le = a[:, None, 0] <= b[None, :, 0]
+    ge = a[:, None, 0] >= b[None, :, 0]
+    for j in range(1, a.shape[1]):
+        le &= a[:, None, j] <= b[None, :, j]
+        ge &= a[:, None, j] >= b[None, :, j]
+    return le, ge
+
+
+def _level_after_insert(objs: np.ndarray, level: np.ndarray,
+                        row: np.ndarray) -> np.ndarray:
+    """Non-domination levels of ``objs`` with ``row`` appended, from the
+    levels of ``objs`` (steady-state level update; Li, Deb, Zhang & Kwong,
+    IEEE Trans. Cybernetics, 2017).
+
+    The newcomer sits one past its deepest dominator.  An insert moves a
+    row down by at most one level: a row moves when a row now one level
+    above it dominates it, so the move starts at the newcomer's level with
+    the rows it dominates and cascades only through rows a moved row
+    dominates.
+    """
+    le, ge = _compare(objs, row[None, :])
+    le, ge = le[:, 0], ge[:, 0]
+    above = le & ~ge
+    depth = int(level[above].max()) + 1 if above.any() else 0
+    level = np.append(level, depth)
+    moved = np.flatnonzero(ge & ~le & (level[:-1] == depth))
+    while moved.size:
+        depth += 1
+        below = np.flatnonzero(level[:-1] == depth)
+        level[moved] = depth
+        le, ge = _compare(objs[moved], objs[below])
+        moved = below[(le & ~ge).any(axis=0)]
+    return level
 
 
 class SmsEmoaHost:
     """Steady-state indicator host: one child per selection, worst
-    hypervolume contributor removed.  Contributions are computed on
-    population-range-normalized objectives with a fixed offset reference."""
+    hypervolume contributor removed.
+
+    ``level`` holds each member's non-domination level on the raw
+    objectives.  Only the initial population is sorted; each insert updates
+    the levels, and the dropped member always sits on the last level.
+    Contributions are computed on the worst front normalized by the pool's
+    range, against a fixed offset reference.
+    """
 
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
                  rng: np.random.Generator):
         self.problem = problem
         self.pop_size = config.population_size
         self.z_ref = None
+        self.ref = np.full(problem.m, 1.1)
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
+        self.level = np.empty(self.pop_f.shape[0], dtype=int)
+        for depth, front in enumerate(fast_non_dominated_sort(self.pop_f)):
+            self.level[front] = depth
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:
         pool_x = np.vstack([self.pop_x, x])
         pool_f = np.vstack([self.pop_f, f])
-        lo = pool_f.min(axis=0)
-        span = np.maximum(pool_f.max(axis=0) - lo, RANGE_GUARD)
-        scaled = (pool_f - lo) / span
-        ref = np.full(self.problem.m, 1.1)
-        keep = smsemoa_select(scaled, self.pop_size, ref)
-        self.pop_x, self.pop_f = pool_x[keep], pool_f[keep]
+        level = _level_after_insert(self.pop_f, self.level, f)
+        if pool_f.shape[0] > self.pop_size:
+            worst = np.flatnonzero(level == level.max())
+            lo = pool_f.min(axis=0)
+            span = np.maximum(pool_f.max(axis=0) - lo, RANGE_GUARD)
+            drop = worst[_least_contributor((pool_f[worst] - lo) / span, self.ref)]
+            pool_x = np.delete(pool_x, drop, axis=0)
+            pool_f = np.delete(pool_f, drop, axis=0)
+            level = np.delete(level, drop)
+        self.pop_x, self.pop_f, self.level = pool_x, pool_f, level
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:

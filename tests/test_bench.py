@@ -17,7 +17,7 @@ from idealbench.cli import main as cli_main
 from idealbench.hosts import EstimatorConfig, HostConfig
 
 from .test_core import reference_fronts
-from .test_hosts import leave_one_out_contributions
+from .test_hosts import leave_one_out_contributions, normalized_pool_insert
 from .test_metrics import reference_hv
 
 SMALL = dict(host=HostConfig(kind="moead", population_size=40),
@@ -140,7 +140,9 @@ class TestKernelOracles:
         calls, snapshots = self.run_with_oracles(problem, host, monkeypatch,
                                                  hv_only=False)
         assert (calls["sort"] > 0) == (host != "moead")
-        # only nsga2 stops the sort early; smsemoa needs its worst front
+        if host == "smsemoa":  # its initial population; inserts update levels
+            assert calls["sort"] == 1
+        # only nsga2 stops the sort early
         assert (calls["stopped_sort"] > 0) == (host == "nsga2")
         assert (calls["hvc"] > 0) == (host == "smsemoa")
         assert calls["hv"] == snapshots  # hv_normalized, once per snapshot
@@ -155,6 +157,37 @@ class TestKernelOracles:
             assert calls["hv"] > snapshots
         else:
             assert calls["hv"] == snapshots
+
+
+class TestInsertOracle:
+    # SmsEmoaHost's level update must leave whole runs bit-identical to the
+    # earlier insert, which sorted the whole normalized pool every time
+
+    @pytest.mark.parametrize("estimator", ["running-min", "eie"])
+    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
+    def test_trial_matches_normalized_pool_insert(self, problem, estimator,
+                                                  monkeypatch):
+        cfg = RunConfig(problem=problem,
+                        host=HostConfig(kind="smsemoa", population_size=24),
+                        estimator=EstimatorConfig(kind=estimator),
+                        fe_max=600, snapshot_every=200)
+        injected = []
+        step = hosts.SmsEmoaHost.step
+
+        def counted_step(host, o1, budget, rng):
+            injected.append(o1.size)
+            return step(host, o1, budget, rng)
+
+        monkeypatch.setattr(hosts.SmsEmoaHost, "step", counted_step)
+        shipped = run_trial(cfg, seed=5)
+        monkeypatch.setattr(hosts.SmsEmoaHost, "_insert", normalized_pool_insert)
+        oracle = run_trial(cfg, seed=5)
+        assert shipped.raw_row() == oracle.raw_row()
+        assert shipped.trajectory == oracle.trajectory
+        assert np.array_equal(shipped.final_x, oracle.final_x)
+        assert np.array_equal(shipped.final_f, oracle.final_f)
+        # eie hands the host several rows to insert at once
+        assert (max(injected) > 1) == (estimator == "eie")
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +398,30 @@ class TestCli:
         assert result.exit_code == 2, result.output  # click usage error
         assert "neighborhood_size, popsize" in result.output
         assert "Traceback" not in result.output
+        assert not calls and not res.exists()
+
+    @pytest.mark.parametrize("flags,file_keys,named", [
+        (["--seeds", "0,1", "--fe-max", "3000"], {}, "--seeds, --fe-max"),
+        (["--fe-max", "3000"], {}, "--fe-max"),
+        ([], {"seeds": [0, 1]}, "'seeds' in"),
+        ([], {"fe_max": 3000}, "'fe_max' in"),
+    ])
+    def test_paper_protocol_rejects_seeds_and_budget(self, flags, file_keys,
+                                                     named, tmp_path,
+                                                     monkeypatch):
+        # the protocol fixes 30 seeds and the budget; a given value would be
+        # silently ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", **file_keys}))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--paper-protocol", *flags,
+            "--out", str(res), "--workers", "1",
+        ])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "--paper-protocol" in result.output and named in result.output
         assert not calls and not res.exists()
 
     def test_failed_cell_exits_nonzero_after_emitting_the_rest(self, tmp_path,

@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -71,9 +72,30 @@ def dropped_member(objs, ref, kernel):
     return int(np.setdiff1d(np.arange(objs.shape[0]), keep)[0])
 
 
-def point_sets(value):
+def normalized_pool_insert(host, x, f):
+    """The earlier ``SmsEmoaHost._insert``: normalize the whole pool by its
+    range, then let ``smsemoa_select`` sort it and drop one member."""
+    pool_x = np.vstack([host.pop_x, x])
+    pool_f = np.vstack([host.pop_f, f])
+    lo = pool_f.min(axis=0)
+    span = np.maximum(pool_f.max(axis=0) - lo, hosts.RANGE_GUARD)
+    keep = smsemoa_select((pool_f - lo) / span, host.pop_size,
+                          np.full(pool_f.shape[1], 1.1))
+    host.pop_x, host.pop_f = pool_x[keep], pool_f[keep]
+
+
+def sorted_levels(objs):
+    """Each row's front index from a full sort."""
+    level = np.empty(objs.shape[0], dtype=int)
+    for depth, front in enumerate(fast_non_dominated_sort(objs)):
+        level[front] = depth
+    return level
+
+
+def point_sets(value, min_size=1, max_size=30):
     return st.integers(2, 3).flatmap(lambda m: st.lists(
-        st.lists(value, min_size=m, max_size=m), min_size=1, max_size=30))
+        st.lists(value, min_size=m, max_size=m), min_size=min_size,
+        max_size=max_size))
 
 
 class TestVariation:
@@ -384,6 +406,66 @@ class TestContributionOracle:
         assert got == pytest.approx(leave_one_out_contributions(objs, ref),
                                     rel=0, abs=1e-12)
         assert got[3] == got[7] == 0.0
+
+
+QUARTERS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
+
+
+class TestLevelUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(QUARTERS, min_size=2, max_size=61))
+    def test_insert_and_drop_match_a_full_sort(self, rows):
+        # a quarter grid gives ties, duplicate rows and -0.0 == 0.0; the
+        # last row joins a pool of 1 to 60
+        pool = np.asarray(rows, dtype=float)
+        objs, row = pool[:-1], pool[-1]
+        level = hosts._level_after_insert(objs, sorted_levels(objs), row)
+        assert level.tolist() == sorted_levels(pool).tolist()
+        for drop in np.flatnonzero(level == level.max()):
+            rest = np.delete(pool, drop, axis=0)
+            assert (np.delete(level, drop).tolist()
+                    == sorted_levels(rest).tolist())
+
+    def test_insert_on_top_pushes_every_level_down(self):
+        # two mutually non-dominated rows per level of a chain
+        objs = np.array([[i + 1.0, i + 1.5] for i in range(5)]
+                        + [[i + 1.5, i + 1.0] for i in range(5)])
+        level = sorted_levels(objs)
+        assert level.tolist() == [0, 1, 2, 3, 4] * 2
+        got = hosts._level_after_insert(objs, level, np.array([0.5, 0.5]))
+        assert got.tolist() == [1, 2, 3, 4, 5] * 2 + [0]
+
+    def test_insert_mid_chain_moves_only_the_rows_below(self):
+        objs = np.array([[float(i), float(i)] for i in range(6)])
+        got = hosts._level_after_insert(objs, sorted_levels(objs),
+                                        np.array([2.5, 2.5]))
+        assert got.tolist() == [0, 1, 2, 4, 5, 6, 3]
+
+    def test_levels_on_raw_objectives_survive_normalization_collapse(self):
+        # a and b differ by one ulp in f1, so a dominates b; over the pool's
+        # f1 range [0, 3] both normalize to the same float
+        a = np.array([1.6809360141291612, 1.0])
+        b = np.array([1.6809360141291614, 1.0])
+        c, d = np.array([0.0, 2.0]), np.array([3.0, 0.0])
+        lo, span = np.array([0.0, 0.0]), np.array([3.0, 2.0])
+        assert a[0] < b[0] and np.array_equal((a - lo) / span, (b - lo) / span)
+        initial = np.array([a, c, d])
+        problem = SimpleNamespace(m=2, n=1, bounds=BoxBounds(np.zeros(1),
+                                                             np.ones(1)))
+        budget = EvaluationBudget(3, _eval=lambda xs: initial[:len(xs)])
+        host = hosts.SmsEmoaHost(problem, HostConfig(kind="smsemoa",
+                                                     population_size=3),
+                                 budget, make_rng(0))
+        assert host.level.tolist() == [0, 0, 0]
+        level = hosts._level_after_insert(host.pop_f, host.level, b)
+        assert level.tolist() == [0, 0, 0, 1]  # b alone on the last level
+        host._insert(np.zeros(1), b)
+        assert np.array_equal(host.pop_f, initial)
+        assert host.level.tolist() == [0, 0, 0]
+        # the earlier whole-pool normalized sort saw a and b as copies, each
+        # of zero exclusive contribution, and dropped a, the first of them
+        normalized_pool_insert(host, np.zeros(1), b)
+        assert np.array_equal(host.pop_f, np.array([c, d, b]))
 
 
 class TestHostsEndToEnd:
