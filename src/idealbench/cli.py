@@ -9,6 +9,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .bench import (RunConfig, build_report, cell_name, emit, default_fe_max,
                     default_population_size, format_report, load_raw,
@@ -90,7 +91,8 @@ def _split(value: str) -> list:
 @click.option("--out", "output_dir", type=click.Path(file_okay=False), default="results")
 @click.option("--workers", type=int, default=None,
               help="Process count; also via IDEALBENCH_WORKERS.")
-def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
+@click.pass_context
+def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
         snapshot_every, scalarization, paper_protocol, output_dir, workers):
     """Run (problem x host x estimator x seed) trials and emit CSVs."""
     file_cfg = {}
@@ -124,7 +126,8 @@ def run(config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
                  else [int(s) for s in file_cfg.get("seeds", list(range(10)))])
     if paper_protocol:
         seed_list = list(range(30))
-    output_dir = pick(None, "output_dir", output_dir) if output_dir == "results" else output_dir
+    if ctx.get_parameter_source("output_dir") is ParameterSource.DEFAULT:
+        output_dir = file_cfg.get("output_dir", output_dir)  # a typed --out wins
 
     configs = []
     try:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import (BoxBounds, EvaluationBudget, OffspringBatch,
                    clamp_to_bounds, fast_non_dominated_sort, simplex_lattice)
-from .metrics import hv_exact
+# hv_exact is not called here; the benchmark's tracer looks it up in hosts
+from .metrics import hv_exact, hv_sweep  # noqa: F401
 
 HOST_KINDS = ("nsga2", "moead", "smsemoa")
 ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
@@ -385,44 +386,60 @@ def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     objectives.
 
     The contribution of p is the volume of its box ``[p, ref]`` minus the
-    hypervolume of the other points clamped into that box, ``max(q, p)``.
-    Before that hypervolume is taken, the clamped points are reduced to
-    their non-dominated rows, one of each group of equal rows.  Since
-    ``max(r, p) <= max(q, p)`` exactly when ``r <= max(q, p)``, two sweeps
-    over the dominating candidates r reduce the boxes of all points at
-    once, in O(k^2) memory.
+    hypervolume of the other points clamped into that box, ``max(q, p)``,
+    after those are reduced to their non-dominated rows, one of each group
+    of equal rows.  The clamped q survives that reduction unless some r
+    other than p and q has ``max(r, p) <= max(q, p)`` together with
+    ``r < q`` or ``max(r, p) != max(q, p)``.  Since ``max(r, p) <= max(q,
+    p)`` exactly when ``r <= max(q, p)``, the rule needs, per objective j
+    and point s, only the sets of r with ``r_j <= s_j`` and ``r_j < s_j``.
+    Packed 64 r to a word, they reduce the boxes of all points at once in
+    a few word-wise operations on (words, k, k) arrays.  The survivors are
+    clamped and filtered in one pass, and each box is swept on Python
+    floats by ``metrics.hv_sweep``.  The result is bit-identical to the
+    earlier two-sweep reduction, which the tests keep as an oracle.
     """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     ref = np.asarray(ref, dtype=float)
     k, m = objs.shape
+    cols, idx = objs.T, np.arange(k)
+    # row s of each set holds bit r when r_j <= s_j (m sets), r_j < s_j
+    # (m sets), r < s and r != s, padded to whole 64-bit words
+    bits = np.zeros((2 * m + 2, k, -(-k // 64) * 64), dtype=bool)
+    np.less_equal(cols[:, None, :], cols[:, :, None], out=bits[:m, :, :k])
+    np.less(cols[:, None, :], cols[:, :, None], out=bits[m:2 * m, :, :k])
+    np.less(idx, idx[:, None], out=bits[-2, :, :k])
+    np.not_equal(idx, idx[:, None], out=bits[-1, :, :k])
+    words = np.packbits(bits, axis=2).view(np.uint64).transpose(0, 2, 1).copy()
+    le, lt, earlier, other = words[:m], words[m:2 * m], words[-2], words[-1]
+    below = bits[m:2 * m, :, :k].transpose(0, 2, 1)  # [j, p, q]: p_j < q_j
+    # [word, p, q]: the r with r <= max(q, p), and the r with
+    # max(r, p) != max(q, p) among those: r_j < q_j where p_j < q_j (the
+    # bool factor keeps or clears whole words)
+    covers = le[0][:, :, None] | le[0][:, None, :]
+    differs = lt[0][:, None, :] * below[0]
+    for j in range(1, m):
+        covers &= le[j][:, :, None] | le[j][:, None, :]
+        differs |= lt[j][:, None, :] * below[j]
+    differs |= earlier[:, None, :]
+    differs &= covers
+    differs &= other[:, :, None]
+    survives = ~differs.any(axis=0)  # [p, q]: the clamped q enters p's box
+    np.fill_diagonal(survives, False)
 
-    def covers(r, rows, cols):
-        # [p, q]: max(p, q) >= objs[r] in every objective
-        above = objs >= objs[r]
-        out = above[rows, None, 0] | above[None, cols, 0]
-        for j in range(1, m):
-            out &= above[rows, None, j] | above[None, cols, j]
-        return out
-
-    # survives[p, q]: the clamped q enters p's hypervolume
-    survives = ~np.eye(k, dtype=bool)
-    # first drop each q that a lower-indexed clamped point dominates or
-    # equals, which leaves the first of every group of equal rows ...
-    for r in range(k - 1):
-        cover = covers(r, slice(None), slice(r + 1, None))
-        cover[r] = False
-        survives[:, r + 1:] &= ~cover
-    # ... so whatever a surviving r still covers, it strictly dominates
-    for r in range(k):
-        rows = np.flatnonzero(survives[:, r])
-        cover = covers(r, rows, slice(None))
-        cover[:, r] = False
-        survives[rows] &= ~cover
-    out = np.empty(k)
-    for p in range(k):
-        box = float(np.prod(np.maximum(ref - objs[p], 0.0)))
-        out[p] = box - hv_exact(np.maximum(objs[survives[p]], objs[p]), ref)
-    return out
+    owner, q = np.nonzero(survives)  # grouped by owner, ascending
+    clamped = np.maximum(objs[q], objs[owner])
+    inside = np.all(clamped < ref, axis=1)
+    points = clamped[inside].tolist()
+    ends = np.searchsorted(owner[inside], np.arange(1, k + 1)).tolist()
+    boxes = np.prod(np.maximum(ref - objs, 0.0), axis=1).tolist()
+    bound = ref.tolist()
+    out = []
+    start = 0
+    for box, end in zip(boxes, ends):
+        out.append(box - hv_sweep(points[start:end], bound))
+        start = end
+    return np.array(out)
 
 
 def _least_contributor(front: np.ndarray, ref: np.ndarray) -> int:
@@ -508,18 +525,29 @@ class SmsEmoaHost:
             self.level[front] = depth
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:
-        pool_x = np.vstack([self.pop_x, x])
-        pool_f = np.vstack([self.pop_f, f])
+        k = self.pop_f.shape[0]
         level = _level_after_insert(self.pop_f, self.level, f)
-        if pool_f.shape[0] > self.pop_size:
-            worst = np.flatnonzero(level == level.max())
-            lo = pool_f.min(axis=0)
-            span = np.maximum(pool_f.max(axis=0) - lo, RANGE_GUARD)
-            drop = worst[_least_contributor((pool_f[worst] - lo) / span, self.ref)]
-            pool_x = np.delete(pool_x, drop, axis=0)
-            pool_f = np.delete(pool_f, drop, axis=0)
-            level = np.delete(level, drop)
-        self.pop_x, self.pop_f, self.level = pool_x, pool_f, level
+        if k < self.pop_size:
+            self.pop_x = np.vstack([self.pop_x, x])
+            self.pop_f = np.vstack([self.pop_f, f])
+            self.level = level
+            return
+        # the pool is the members plus the newcomer as row k, never stacked
+        worst = np.flatnonzero(level == level.max())
+        if worst[-1] == k:
+            front = np.vstack([self.pop_f[worst[:-1]], f])
+        else:
+            front = self.pop_f[worst]
+        lo = np.minimum(self.pop_f.min(axis=0), f)
+        span = np.maximum(np.maximum(self.pop_f.max(axis=0), f) - lo, RANGE_GUARD)
+        drop = int(worst[_least_contributor((front - lo) / span, self.ref)])
+        if drop == k:
+            # the rows the newcomer moved sit below it, so on the last level
+            # it moved none: the members and their levels stay as they were
+            return
+        self.pop_x = np.concatenate((self.pop_x[:drop], self.pop_x[drop + 1:], x[None]))
+        self.pop_f = np.concatenate((self.pop_f[:drop], self.pop_f[drop + 1:], f[None]))
+        self.level = np.concatenate((level[:drop], level[drop + 1:]))
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:

@@ -43,17 +43,13 @@ def _staircase(pts: list, r0: float, r1: float) -> float:
     return hv
 
 
-def _hv2d(front: np.ndarray, ref: np.ndarray) -> float:
-    pts = front[np.all(front < ref, axis=1)].tolist()
+def _hv2d(pts: list, r0: float, r1: float) -> float:
     pts.sort()
-    r0, r1 = ref.tolist()
     return _staircase(pts, r0, r1)
 
 
-def _hv3d(front: np.ndarray, ref: np.ndarray) -> float:
-    pts = front[np.all(front < ref, axis=1)].tolist()
+def _hv3d(pts: list, r0: float, r1: float, r2: float) -> float:
     pts.sort(key=itemgetter(2))  # stable: ties keep their input order
-    r0, r1, r2 = ref.tolist()
     stair = []  # (f1, f2) of the points below the current slab, sorted
     hv = 0.0
     i = 0
@@ -71,26 +67,34 @@ def _hv3d(front: np.ndarray, ref: np.ndarray) -> float:
     return hv
 
 
-def hv_exact(front: np.ndarray, ref: np.ndarray) -> float:
-    """Exact dominated hypervolume for 2 or 3 objectives.
+def hv_sweep(points: list, ref: list) -> float:
+    """Exact hypervolume of ``points``, lists of 2 or 3 floats that each
+    lie strictly below the list ``ref``; sorts ``points`` in place.
 
-    Points that do not strictly dominate the reference point are discarded.
     2-D sorts the points and sums the staircase: O(k log k).  3-D sweeps
     slabs along the last objective, inserting each level's points into the
     sorted staircase and summing it once per slab: O(k^2).  The sweeps run
-    on Python floats, which costs far less than numpy rows on the few-point
-    boxes of ``hosts.hv_contributions``.
+    on Python floats, which costs far less than numpy rows on few points.
+    ``hv_exact`` and ``hosts.hv_contributions`` both end here.
+    """
+    if len(ref) == 2:
+        return _hv2d(points, *ref)
+    if len(ref) == 3:
+        return _hv3d(points, *ref)
+    raise ValueError("exact hypervolume supports 2 or 3 objectives only")
+
+
+def hv_exact(front: np.ndarray, ref: np.ndarray) -> float:
+    """Exact dominated hypervolume for 2 or 3 objectives.
+
+    Points that do not strictly dominate the reference point are discarded;
+    the rest are swept by ``hv_sweep``.
     """
     front = np.atleast_2d(np.asarray(front, dtype=float))
     ref = np.asarray(ref, dtype=float)
     if front.shape[0] == 0:
         return 0.0
-    m = front.shape[1]
-    if m == 2:
-        return _hv2d(front, ref)
-    if m == 3:
-        return _hv3d(front, ref)
-    raise ValueError("exact hypervolume supports 2 or 3 objectives only")
+    return hv_sweep(front[np.all(front < ref, axis=1)].tolist(), ref.tolist())
 
 
 def hv_normalized(objs: np.ndarray, ideal: np.ndarray, nadir: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idealbench import bench, core, hosts, metrics
+from idealbench import bench, cli, core, hosts, metrics
 from idealbench.bench import (RunConfig, RunRecord, build_report,
                               default_fe_max, default_population_size, emit,
                               format_report, load_raw, run_suite, run_trial,
@@ -19,6 +19,11 @@ from idealbench.hosts import EstimatorConfig, HostConfig
 from .test_core import reference_fronts
 from .test_hosts import leave_one_out_contributions, normalized_pool_insert
 from .test_metrics import reference_hv
+
+def reference_sweep(points, ref):
+    """``metrics.hv_sweep`` answered by the earlier numpy-row hypervolume."""
+    return reference_hv(np.array(points).reshape(-1, len(ref)), np.array(ref))
+
 
 SMALL = dict(host=HostConfig(kind="moead", population_size=40),
              fe_max=2_000, snapshot_every=500)
@@ -107,7 +112,7 @@ class TestKernelOracles:
                         fe_max=600 if host == "smsemoa" else 2_000,
                         snapshot_every=200)
         shipped = run_trial(cfg, seed=5)
-        calls = {"sort": 0, "stopped_sort": 0, "hvc": 0, "hv": 0}
+        calls = {"sort": 0, "stopped_sort": 0, "hvc": 0, "hv": 0, "box": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -120,8 +125,16 @@ class TestKernelOracles:
 
         oracle_hv = counted("hv", reference_hv)
         monkeypatch.setattr(metrics, "hv_exact", oracle_hv)
-        monkeypatch.setattr(hosts, "hv_exact", oracle_hv)
-        if not hv_only:
+        # the contributions sweep each box through the shared list-level core
+        monkeypatch.setattr(hosts, "hv_sweep", counted("hv", reference_sweep))
+        if hv_only:
+            shipped_hvc = hosts.hv_contributions
+
+            def count_boxes(objs, ref):
+                calls["box"] += len(objs)
+                return shipped_hvc(objs, ref)
+            monkeypatch.setattr(hosts, "hv_contributions", count_boxes)
+        else:
             oracle_sort = counted("sort", reference_fronts)
             monkeypatch.setattr(core, "fast_non_dominated_sort", oracle_sort)
             monkeypatch.setattr(hosts, "fast_non_dominated_sort", oracle_sort)
@@ -150,13 +163,15 @@ class TestKernelOracles:
     @pytest.mark.parametrize("host", ["nsga2", "moead", "smsemoa"])
     @pytest.mark.parametrize("problem", ["mop2", "mop11"])
     def test_trial_matches_oracle_hypervolume(self, host, problem, monkeypatch):
-        # the shipped contributions hand their per-insert boxes to the oracle
+        # the shipped contributions hand every box of every insert to the
+        # oracle sweep
         calls, snapshots = self.run_with_oracles(problem, host, monkeypatch,
                                                  hv_only=True)
         if host == "smsemoa":
             assert calls["hv"] > snapshots
+            assert calls["hv"] == snapshots + calls["box"]
         else:
-            assert calls["hv"] == snapshots
+            assert calls["hv"] == snapshots and calls["box"] == 0
 
 
 class TestInsertOracle:
@@ -381,6 +396,28 @@ class TestCli:
         assert result.exit_code == 0, result.output
         raw = (res / "raw.csv").read_text()
         assert ",ut," in raw and "running-min" not in raw
+
+    @pytest.mark.parametrize("config,flags,emitted", [
+        (True, ["--out", "results"], "results"),  # the typed default wins
+        (True, ["--out", "mine"], "mine"),
+        (True, [], "from-config"),
+        (False, [], "results"),
+    ])
+    def test_typed_out_beats_config_output_dir(self, config, flags, emitted,
+                                               tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "seeds": [0],
+                                   "output_dir": "from-config"}))
+        out_dirs = []
+        monkeypatch.setattr(cli, "run_suite", lambda configs, seeds, parallelism:
+                            [object()] * (len(configs) * len(seeds)))
+        monkeypatch.setattr(cli, "emit", lambda records, out: out_dirs.append(out))
+        args = ["run", "--problem", "mop1", *flags]
+        if config:
+            args += ["--config", str(cfg)]
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 0, result.output
+        assert out_dirs == [emitted]
 
     def test_config_file_unknown_keys_rejected(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -64,6 +64,56 @@ def leave_one_out_contributions(objs, ref):
     return out
 
 
+def two_sweep_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The earlier reduction kernel: two sweeps of (k, k) masks over the
+    dominating candidates r, then one ``hv_exact`` call per box."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    ref = np.asarray(ref, dtype=float)
+    k, m = objs.shape
+
+    def covers(r, rows, cols):
+        # [p, q]: max(p, q) >= objs[r] in every objective
+        above = objs >= objs[r]
+        out = above[rows, None, 0] | above[None, cols, 0]
+        for j in range(1, m):
+            out &= above[rows, None, j] | above[None, cols, j]
+        return out
+
+    # survives[p, q]: the clamped q enters p's hypervolume
+    survives = ~np.eye(k, dtype=bool)
+    # first drop each q that a lower-indexed clamped point dominates or
+    # equals, which leaves the first of every group of equal rows ...
+    for r in range(k - 1):
+        cover = covers(r, slice(None), slice(r + 1, None))
+        cover[r] = False
+        survives[:, r + 1:] &= ~cover
+    # ... so whatever a surviving r still covers, it strictly dominates
+    for r in range(k):
+        rows = np.flatnonzero(survives[:, r])
+        cover = covers(r, rows, slice(None))
+        cover[:, r] = False
+        survives[rows] &= ~cover
+    out = np.empty(k)
+    for p in range(k):
+        box = float(np.prod(np.maximum(ref - objs[p], 0.0)))
+        out[p] = box - hv_exact(np.maximum(objs[survives[p]], objs[p]), ref)
+    return out
+
+
+def assert_equals_two_sweeps(objs, ref):
+    got = hv_contributions(objs, ref)
+    want = two_sweep_contributions(objs, ref)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+def concave_front(k, m, seed):
+    """k points on the positive unit sphere: one mutually non-dominated
+    front."""
+    x = np.abs(make_rng(seed).standard_normal((k, m)))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
 def dropped_member(objs, ref, kernel):
     """Index smsemoa_select removes from ``objs`` with ``kernel`` as its
     contribution routine."""
@@ -358,6 +408,9 @@ class TestIndicatorSelection:
             assert contrib[i] == pytest.approx(total - rest)
 
 
+QUARTERS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
+
+
 class TestContributionOracle:
     @settings(max_examples=200, deadline=None)
     @given(point_sets(st.integers(0, 5)))
@@ -386,15 +439,34 @@ class TestContributionOracle:
             assert (dropped_member(objs, ref, hv_contributions)
                     == dropped_member(objs, ref, leave_one_out_contributions))
 
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(QUARTERS, max_size=40))
+    def test_grid_points_equal_two_sweeps(self, rows):
+        # 1 to 40 points cross the 8-, 16-, 24- and 32-bit packing
+        # boundaries; quarters give ties, duplicate rows, -0.0 and points
+        # on and past ref
+        objs = np.asarray(rows, dtype=float)
+        assert_equals_two_sweeps(objs, np.ones(objs.shape[1]))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", [63, 64, 65, 128, 129])
+    def test_word_boundaries_equal_two_sweeps(self, k, m):
+        # one more or fewer point than whole 64-bit words
+        objs = make_rng(k * m).integers(0, 6, (k, m)) / 4
+        assert_equals_two_sweeps(objs, np.ones(m))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("k", [101, 211])
+    def test_concave_fronts_equal_two_sweeps(self, k, m):
+        assert_equals_two_sweeps(concave_front(k, m, seed=k + m), np.full(m, 1.1))
+
     def test_single_point_is_its_box(self):
         objs = np.array([[0.25, 0.5, 0.75]])
         ref = np.ones(3)
         assert hv_contributions(objs, ref).tolist() == [0.75 * 0.5 * 0.25]
 
     def test_forty_point_three_objective_front(self):
-        rng = make_rng(19)
-        x = np.abs(rng.standard_normal((40, 3)))
-        objs = x / np.linalg.norm(x, axis=1)[:, None]  # one concave front
+        objs = concave_front(40, 3, seed=19)
         ref = np.full(3, 1.1)
         assert len(fast_non_dominated_sort(objs)) == 1
         assert hv_contributions(objs, ref) == pytest.approx(
@@ -406,9 +478,6 @@ class TestContributionOracle:
         assert got == pytest.approx(leave_one_out_contributions(objs, ref),
                                     rel=0, abs=1e-12)
         assert got[3] == got[7] == 0.0
-
-
-QUARTERS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
 
 
 class TestLevelUpdate:
