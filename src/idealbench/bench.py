@@ -17,7 +17,7 @@ import numpy as np
 from .core import EvaluationBudget, OffspringBatch, make_rng
 from .estimation import DEFAULT_EPSILON, IdealEstimation
 from .generator import get_problem
-from .hosts import BaselineEstimator, EstimatorConfig, HostConfig, make_host
+from .hosts import EstimatorConfig, HostConfig, make_host
 from .metrics import e_metric, hv_normalized, midranks, rank_sum_verdict
 
 WORKERS_ENV = "IDEALBENCH_WORKERS"
@@ -48,7 +48,7 @@ class RunConfig:
     def __post_init__(self):
         if self.fe_max <= self.host.population_size:
             raise ValueError("fe_max must exceed the population size")
-        # ut and drp act only through MoeadHost.z_ref; other hosts ignore it
+        # ut and drp act only through MoeadHost's reference point
         if self.estimator.kind in ("ut", "drp") and self.host.kind != "moead":
             raise ValueError(
                 f"estimator {self.estimator.kind!r} acts only through the moead "
@@ -93,10 +93,8 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
     problem = get_problem(config.problem)
     rng = make_rng(seed)
     budget = EvaluationBudget(config.fe_max, _eval=problem.evaluate_batch)
-    host = make_host(problem, config.host, budget, rng)
+    host = make_host(problem, config.host, budget, rng, config.estimator.kind)
 
-    estimator = BaselineEstimator(config.estimator, problem.m)
-    estimator.observe(host.pop_f)
     component = None
     if config.estimator.kind in ("eie", "eie-separate"):
         mode = "ews" if config.estimator.kind == "eie" else "separate"
@@ -126,12 +124,6 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
         o2 = host.step(o1, budget, rng)
         if component is not None:
             component.update(host.pop_f, o1, o2, host.pop_x)
-        estimator.observe(o1.fs)
-        estimator.observe(o2.fs)
-        host.z_ref = estimator.estimate(
-            host.pop_f.min(axis=0), host.pop_f.max(axis=0),
-            budget.used, config.fe_max,
-        )
         if budget.used >= next_snap:
             snapshot()
             next_snap = (budget.used // config.snapshot_every + 1) * config.snapshot_every
@@ -211,9 +203,12 @@ def emit(records: list, out_dir: str | Path) -> dict:
 
     Raw columns: problem, host, estimator, seed, fe_max, e, hv,
     eie_fe_fraction.  Trajectory columns: problem, host, estimator, seed,
-    fe, e, hv.  Numbers carry 6 significant digits.
+    fe, e, hv.  Numbers carry 6 significant digits.  A failed cell (a
+    ``None`` record) raises ``ValueError`` rather than being left out.
     """
-    records = [r for r in records if r is not None]
+    failed = sum(r is None for r in records)
+    if failed:
+        raise ValueError(f"{failed} failed cell(s) among the records to emit")
     if not records:
         raise ValueError("nothing to emit")
     out = Path(out_dir)

@@ -104,7 +104,6 @@ class IdealEstimation:
         self.alphas = np.array([alpha_from_epsilon(e) for e in self.epsilons])
         self.subproblems = [EwsSubproblem(i, self.alphas[i], m) for i in range(m)]
         self.procedures: list = [None] * m
-        self.terminated = np.zeros(m, dtype=bool)
         self.evaluations_used = 0
         self.z_min = np.zeros(m)
         self.z_max = np.ones(m)
@@ -134,7 +133,7 @@ class IdealEstimation:
 
     @property
     def active(self) -> bool:
-        return bool(np.any(~self.terminated))
+        return any(proc.live for proc in self.procedures)
 
     def produce_offspring(
         self, budget: EvaluationBudget, rng: np.random.Generator
@@ -148,7 +147,7 @@ class IdealEstimation:
         xs_parts, owner_parts = [], []
         allowance = budget.remaining
         for i in range(m):
-            if self.terminated[i]:
+            if not self.procedures[i].live:
                 continue
             if allowance == 0:
                 break
@@ -183,10 +182,9 @@ class IdealEstimation:
         all_xs = np.vstack([o1.xs, o2.xs])
         all_fs = np.vstack([o1.fs, o2.fs])
         all_owner = np.concatenate([o1.owner, o2.owner])
-        for i in range(self.problem.m):
-            if self.terminated[i]:
+        for i, proc in enumerate(self.procedures):
+            if not proc.live:
                 continue
-            proc = self.procedures[i]
             own_mask = all_owner == i
             own_count = int(own_mask.sum())
             if own_count == 0 or own_count < proc.lam:
@@ -203,7 +201,6 @@ class IdealEstimation:
                 proc.warm_restart(pop_xs, self._scores(pop_fs, i))
             elif report.conventional:
                 proc.stop()
-                self.terminated[i] = True
 
     def fe_fraction(self, total_evaluations: int) -> float:
         if total_evaluations <= 0:

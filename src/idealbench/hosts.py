@@ -1,4 +1,4 @@
-"""Host multi-objective algorithms and population-based ideal estimators.
+"""Host multi-objective algorithms and MOEA/D's reference-point rules.
 
 Three canonical hosts cover the three main MOEA families: non-dominated
 sorting with crowding distance (dominance-based), a generational
@@ -230,7 +230,6 @@ class Nsga2Host:
                  rng: np.random.Generator):
         self.problem = problem
         self.pop_size = config.population_size
-        self.z_ref = None  # dominance selection ignores the reference point
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
         self.fronts = fast_non_dominated_sort(self.pop_f)
 
@@ -324,6 +323,32 @@ def global_replacement(fitness: np.ndarray) -> np.ndarray:
     return new_idx
 
 
+def drp_beta(fe: int, fe_max: int) -> float:
+    """Linearly decaying optimism offset, exactly ``DRP_FLOOR`` at the budget
+    end."""
+    return (1.0 - DRP_FLOOR) * (fe_max - fe) / fe_max + DRP_FLOOR
+
+
+def reference_point(kind: str, z_running: np.ndarray, pop_f: np.ndarray,
+                    fe: int, fe_max: int) -> np.ndarray:
+    """MOEA/D's reference point under estimator ``kind``.
+
+    ``running-min`` is the best value seen per objective; ``ut`` and
+    ``drp`` subtract an optimism offset from it, expressed in the
+    population's normalized objective space.  The two estimation-component
+    kinds also use the running minimum (their influence flows through the
+    offspring they inject).
+    """
+    if kind in ("running-min", "eie", "eie-separate"):
+        return z_running.copy()
+    span = np.maximum(pop_f.max(axis=0) - pop_f.min(axis=0), RANGE_GUARD)
+    if kind == "ut":
+        return z_running - UT_BETA * span
+    if kind == "drp":
+        return z_running - drp_beta(fe, fe_max) * span
+    raise ValueError(f"unknown estimator {kind!r}")
+
+
 class MoeadHost:
     """Generational decomposition host with neighborhood mating and global
     replacement.
@@ -333,12 +358,19 @@ class MoeadHost:
     scalarization likes it most, and replaces that incumbent when better.
     Objectives are rescaled by the reference-to-population range so widely
     different objective magnitudes do not starve any subproblem.
+
+    The host owns its reference point (Zhang & Li, IEEE TEVC 11(6), 2007).
+    ``z_min`` is the running minimum of everything it has evaluated or been
+    handed; after each replacement ``z_ref`` follows it by the rule of
+    ``estimator`` (see ``reference_point``).  The first step uses the
+    initial population's minimum.
     """
 
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, estimator: str = "running-min"):
         self.problem = problem
         self.config = config
+        self.estimator = estimator
         self.weights = simplex_lattice_weights(problem.m, config.population_size)
         self.pop_size = self.weights.shape[0]
         t_size = max(3, round(0.1 * self.pop_size))
@@ -347,7 +379,8 @@ class MoeadHost:
         )
         self.neighbors = np.argsort(d, kind="stable", axis=1)[:, :t_size]
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
-        self.z_ref = self.pop_f.min(axis=0)
+        self.z_min = self.pop_f.min(axis=0)
+        self.z_ref = self.z_min
         # mating pools as lists, built once: the triplet draw indexes them
         self._neighbor_pools = self.neighbors.tolist()
         self._full_pool = list(range(self.pop_f.shape[0]))
@@ -375,6 +408,11 @@ class MoeadHost:
         )
         new_idx = global_replacement(fitness)
         self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
+        for batch in (o1, o2):
+            if batch.size:
+                self.z_min = np.minimum(self.z_min, batch.fs.min(axis=0))
+        self.z_ref = reference_point(self.estimator, self.z_min, self.pop_f,
+                                     budget.used, budget.limit)
         return o2
 
 
@@ -451,18 +489,6 @@ def _least_contributor(front: np.ndarray, ref: np.ndarray) -> int:
     return int(np.argmin(hv_contributions(front, ref)))
 
 
-def smsemoa_select(objs: np.ndarray, count: int, ref: np.ndarray) -> np.ndarray:
-    """Drop members of the worst front by smallest exclusive hypervolume
-    contribution until ``count`` remain; better fronts are never touched."""
-    objs = np.atleast_2d(np.asarray(objs, dtype=float))
-    alive = np.arange(objs.shape[0])
-    while alive.size > count:
-        worst = fast_non_dominated_sort(objs[alive])[-1]
-        drop = worst[_least_contributor(objs[alive][worst], ref)]
-        alive = np.delete(alive, drop)
-    return alive
-
-
 def _compare(a: np.ndarray, b: np.ndarray) -> tuple:
     """``(le, ge)`` over row pairs: ``le[i, j]`` when a[i] is no worse than
     b[j] in every objective, ``ge[i, j]`` when it is no better.  So a[i]
@@ -517,7 +543,6 @@ class SmsEmoaHost:
                  rng: np.random.Generator):
         self.problem = problem
         self.pop_size = config.population_size
-        self.z_ref = None
         self.ref = np.full(problem.m, 1.1)
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
         self.level = np.empty(self.pop_f.shape[0], dtype=int)
@@ -576,57 +601,17 @@ class SmsEmoaHost:
 
 
 def make_host(problem, config: HostConfig, budget: EvaluationBudget,
-              rng: np.random.Generator):
+              rng: np.random.Generator, estimator: str = "running-min"):
+    """The host ``config`` names; ``estimator`` sets MOEA/D's reference-point
+    rule, which the other hosts do not read."""
     if config.population_size < problem.m + 1:
         raise ValueError("population must exceed the objective count")
     if config.kind == "nsga2" and config.population_size < 4:
         # each row mates from the population less its base: 3 or more members
         raise ValueError("nsga2 needs a population of at least 4 to breed")
-    cls = {"nsga2": Nsga2Host, "moead": MoeadHost, "smsemoa": SmsEmoaHost}[config.kind]
+    if estimator not in ESTIMATOR_KINDS:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if config.kind == "moead":
+        return MoeadHost(problem, config, budget, rng, estimator)
+    cls = {"nsga2": Nsga2Host, "smsemoa": SmsEmoaHost}[config.kind]
     return cls(problem, config, budget, rng)
-
-
-# -- population-based ideal estimators ---------------------------------------
-
-
-def drp_beta(fe: int, fe_max: int) -> float:
-    """Linearly decaying optimism offset, exactly ``DRP_FLOOR`` at the budget
-    end."""
-    return (1.0 - DRP_FLOOR) * (fe_max - fe) / fe_max + DRP_FLOOR
-
-
-class BaselineEstimator:
-    """Reference-point tracker for the population-based estimation rules.
-
-    ``running-min`` keeps the best value seen per objective; ``ut`` and
-    ``drp`` subtract an optimism offset from it, expressed in the current
-    population's normalized objective space.  The two estimation-component
-    kinds also report the running minimum (their influence flows through
-    the offspring they inject).
-    """
-
-    def __init__(self, config: EstimatorConfig, m: int):
-        self.config = config
-        self.z_running = np.full(m, np.inf)
-
-    def observe(self, objs: np.ndarray) -> None:
-        objs = np.atleast_2d(np.asarray(objs, dtype=float))
-        if objs.shape[0]:
-            self.z_running = np.minimum(self.z_running, objs.min(axis=0))
-
-    def estimate(
-        self,
-        z_min_pop: np.ndarray,
-        z_max_pop: np.ndarray,
-        fe: int,
-        fe_max: int,
-    ) -> np.ndarray:
-        kind = self.config.kind
-        if kind in ("running-min", "eie", "eie-separate"):
-            return self.z_running.copy()
-        span = np.maximum(z_max_pop - z_min_pop, RANGE_GUARD)
-        if kind == "ut":
-            return self.z_running - UT_BETA * span
-        if kind == "drp":
-            return self.z_running - drp_beta(fe, fe_max) * span
-        raise AssertionError(kind)

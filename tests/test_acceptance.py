@@ -18,8 +18,8 @@ from idealbench.estimation import EwsSubproblem, alpha_from_epsilon
 from idealbench.generator import (GeneratorParams, chat, distance_values,
                                   get_problem, position_value, preset,
                                   preset_names, remap)
-from idealbench.hosts import (BaselineEstimator, EstimatorConfig, HostConfig,
-                              drp_beta, make_host)
+from idealbench.hosts import (EstimatorConfig, HostConfig, drp_beta,
+                              make_host, reference_point)
 from idealbench.metrics import hv_exact, hv_monte_carlo
 
 
@@ -210,33 +210,30 @@ def test_criterion_7_three_objective_stress():
 def test_criterion_8_baseline_estimators():
     ok = drp_beta(50_000, 50_000) == 1e-3
 
-    est = BaselineEstimator(EstimatorConfig(kind="ut"), 2)
-    est.observe(np.array([[3.0, 40.0]]))
     z_min, z_max = np.array([1.0, 0.0]), np.array([5.0, 80.0])
-    got = est.estimate(z_min, z_max, 0, 100)
+    got = reference_point("ut", np.array([3.0, 40.0]),
+                          np.array([z_min, z_max]), 0, 100)
     expected = np.array([3.0, 40.0]) - 0.1 * (z_max - z_min)
     ok &= bool(np.array_equal(got, expected))
 
-    # running minimum over a full (small) trial trace
+    # the host's running minimum over a full (small) trial trace
     problem = get_problem("mop1")
     rng = make_rng(88)
     budget = EvaluationBudget(5_000, _eval=problem.evaluate_batch)
     host = make_host(problem, HostConfig(kind="moead", population_size=40),
-                     budget, rng)
-    tracker = BaselineEstimator(EstimatorConfig(kind="running-min"), 2)
-    tracker.observe(host.pop_f)
+                     budget, rng, "running-min")
     empty = OffspringBatch.empty(problem.n, problem.m)
     monotone = True
-    prev = tracker.estimate(host.pop_f.min(0), host.pop_f.max(0), budget.used, 5000)
+    start = prev = host.z_ref
     while not budget.exhausted:
-        o2 = host.step(empty, budget, rng)
-        tracker.observe(o2.fs)
-        cur = tracker.estimate(host.pop_f.min(0), host.pop_f.max(0),
-                               budget.used, 5000)
+        host.step(empty, budget, rng)
+        cur = host.z_ref
         monotone &= bool(np.all(cur <= prev + 1e-15))
         prev = cur
-    ok &= monotone
-    assert _verdict("8 baseline estimators", ok, f"(monotone: {monotone})")
+    moved = bool(np.any(prev < start))
+    ok &= monotone and moved
+    assert _verdict("8 baseline estimators", ok,
+                    f"(monotone: {monotone}, moved: {moved})")
 
 
 def test_criterion_9_run_determinism(tmp_path):

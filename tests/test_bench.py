@@ -14,10 +14,12 @@ from idealbench.bench import (RunConfig, RunRecord, build_report,
                               format_report, load_raw, run_suite, run_trial,
                               summarize)
 from idealbench.cli import main as cli_main
+from idealbench.generator import get_problem
 from idealbench.hosts import EstimatorConfig, HostConfig
 
 from .test_core import reference_fronts
-from .test_hosts import leave_one_out_contributions, normalized_pool_insert
+from .test_hosts import (BaselineEstimator, leave_one_out_contributions,
+                         normalized_pool_insert)
 from .test_metrics import reference_hv
 
 def reference_sweep(points, ref):
@@ -205,6 +207,42 @@ class TestInsertOracle:
         assert (max(injected) > 1) == (estimator == "eie")
 
 
+class TestReferencePointOracle:
+    # MoeadHost's own reference point must equal, after every step, what the
+    # earlier runner-side estimator wrote into host.z_ref
+
+    @pytest.mark.parametrize("estimator", ["running-min", "ut", "drp", "eie"])
+    @pytest.mark.parametrize("problem", ["mop2", "mop11"])
+    def test_host_matches_baseline_estimator(self, problem, estimator,
+                                             monkeypatch):
+        cfg = RunConfig(problem=problem,
+                        host=HostConfig(kind="moead", population_size=24),
+                        estimator=EstimatorConfig(kind=estimator),
+                        fe_max=2_000, snapshot_every=500)
+        step = hosts.MoeadHost.step
+        oracle = BaselineEstimator(cfg.estimator, get_problem(problem).m)
+        seen = {"steps": 0, "offset": False}
+
+        def checked_step(host, o1, budget, rng):
+            if not seen["steps"]:
+                oracle.observe(host.pop_f)
+            o2 = step(host, o1, budget, rng)
+            oracle.observe(o1.fs)
+            oracle.observe(o2.fs)
+            want = oracle.estimate(host.pop_f.min(axis=0),
+                                   host.pop_f.max(axis=0),
+                                   budget.used, cfg.fe_max)
+            assert np.array_equal(host.z_ref, want)
+            seen["steps"] += 1
+            seen["offset"] |= not np.array_equal(want, oracle.z_running)
+            return o2
+
+        monkeypatch.setattr(hosts.MoeadHost, "step", checked_step)
+        rec = run_trial(cfg, seed=5)
+        assert rec.trajectory[-1][0] == cfg.fe_max and seen["steps"] > 10
+        assert seen["offset"] == (estimator in ("ut", "drp"))
+
+
 @pytest.fixture(scope="module")
 def records():
     configs = [small_config(), small_config(estimator="eie")]
@@ -237,6 +275,11 @@ class TestSuiteAndEmit:
             orig = originals[key(rec)]
             assert rec.e_value == float(format(orig.e_value, ".6g"))
             assert rec.hv_value == float(format(orig.hv_value, ".6g"))
+
+    def test_emit_refuses_failed_cells(self, records, tmp_path):
+        with pytest.raises(ValueError, match="2 failed cell"):
+            emit([None, *records, None], tmp_path)
+        assert not (tmp_path / "raw.csv").exists()
 
     def test_emit_trajectory_rows(self, records, tmp_path):
         emit(records, tmp_path)

@@ -1,0 +1,83 @@
+"""The fixed-seed byte-identity gate.
+
+Eighty-eight cells are rebuilt and hashed two ways: the files ``emit``
+writes, and a full-precision digest of each record (``raw_row``, the
+trajectory in ``float.hex`` and the final population bytes).  A change
+that moves either digest moves a fixed-seed output; one that does so on
+purpose updates the pinned value and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from idealbench.bench import (RunConfig, default_population_size, emit,
+                              run_suite)
+from idealbench.generator import get_problem
+from idealbench.hosts import EstimatorConfig, HostConfig
+
+PROBLEMS = ("mop2", "mop4", "mop11", "mop13")
+HOSTS = ("nsga2", "moead", "smsemoa")
+ESTIMATORS = ("running-min", "eie", "eie-separate")
+SEEDS = (0, 7)
+
+EMITTED_SHA256 = "594310a010d7b14c071981fc52e0cfb720de0df502f989b2a6fc4f869782b038"
+FULL_PRECISION_SHA256 = "87b24f6e5c1b43ac716edbec352bb23151f8bd6689d6b57095ca8770ba7f8b13"
+
+
+def digest_configs() -> list:
+    """The 44 configurations: every host x problem x population-based or
+    component estimator, plus ``ut`` and ``drp`` on ``moead``."""
+    configs = []
+    for problem in PROBLEMS:
+        m = get_problem(problem).m
+        for host in HOSTS:
+            kinds = ESTIMATORS + (("ut", "drp") if host == "moead" else ())
+            if host == "smsemoa":
+                pop, fe_max = 20, 600
+            else:
+                pop, fe_max = default_population_size(m), 6_000 if m == 2 else 8_000
+            for kind in kinds:
+                configs.append(RunConfig(
+                    problem=problem,
+                    host=HostConfig(kind=host, population_size=pop),
+                    estimator=EstimatorConfig(kind=kind),
+                    fe_max=fe_max, snapshot_every=500,
+                ))
+    return configs
+
+
+def emitted_digest(records: list, out_dir) -> str:
+    """One sha256 over ``raw.csv``, ``trajectory.csv`` and ``summary.json``
+    as ``emit`` writes them, in that order."""
+    emit(records, out_dir)
+    h = hashlib.sha256()
+    for name in ("raw.csv", "trajectory.csv", "summary.json"):
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+def full_precision_digest(records: list) -> str:
+    """One sha256 over every record, in suite order: its raw row, its
+    trajectory with ``float.hex`` values, then the final population's
+    decision and objective bytes."""
+    h = hashlib.sha256()
+    for rec in records:
+        h.update((",".join(rec.raw_row()) + "\n").encode())
+        for fe, e, hv in rec.trajectory:
+            h.update(f"{fe},{float(e).hex()},{float(hv).hex()}\n".encode())
+        h.update(rec.final_x.tobytes())
+        h.update(rec.final_f.tobytes())
+    return h.hexdigest()
+
+
+def test_digest_grid_has_88_cells():
+    assert len(digest_configs()) * len(SEEDS) == 88
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fixed_seed_outputs_are_pinned(workers, tmp_path):
+    records = run_suite(digest_configs(), list(SEEDS), parallelism=workers)
+    assert all(rec is not None for rec in records)
+    assert emitted_digest(records, tmp_path) == EMITTED_SHA256
+    assert full_precision_digest(records) == FULL_PRECISION_SHA256

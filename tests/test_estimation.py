@@ -129,7 +129,8 @@ class TestComponentLifecycle:
 
     def test_all_terminated_yields_empty_forever(self):
         problem, comp, *_, rng = make_component()
-        comp.terminated[:] = True
+        for proc in comp.procedures:
+            proc.stop()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
         for _ in range(3):
             batch = comp.produce_offspring(budget, rng)
@@ -167,7 +168,7 @@ class TestComponentLifecycle:
             lambda self, *a, **k: StopReport(frozenset({"NoEffectCoord"})),
         )
         comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
-        assert comp.terminated.tolist() == [True, True]
+        assert [proc.live for proc in comp.procedures] == [False, False]
         batch = comp.produce_offspring(budget, rng)
         assert batch.size == 0
 
@@ -180,7 +181,7 @@ class TestComponentLifecycle:
             lambda self, *a, **k: StopReport(frozenset({"TolXUp"})),
         )
         comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
-        assert comp.terminated.tolist() == [False, False]
+        assert [proc.live for proc in comp.procedures] == [True, True]
         assert all(p.status == "restarted" for p in comp.procedures)
 
     def test_fe_fraction(self):

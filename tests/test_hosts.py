@@ -10,12 +10,12 @@ from idealbench import hosts
 from idealbench.core import (BoxBounds, EvaluationBudget, OffspringBatch,
                              dominates, fast_non_dominated_sort, make_rng)
 from idealbench.generator import get_problem
-from idealbench.hosts import (BaselineEstimator, EstimatorConfig, HostConfig,
-                              crowding_distance, de_pm_offspring, drp_beta,
-                              global_replacement, hv_contributions,
+from idealbench.hosts import (RANGE_GUARD, UT_BETA, EstimatorConfig,
+                              HostConfig, crowding_distance, de_pm_offspring,
+                              drp_beta, global_replacement, hv_contributions,
                               make_host, nsga2_select, polynomial_mutation,
-                              scalarized_fitness, simplex_lattice_weights,
-                              smsemoa_select)
+                              reference_point, scalarized_fitness,
+                              simplex_lattice_weights)
 from idealbench.metrics import hv_exact
 
 from .test_core import assert_same_fronts
@@ -98,6 +98,57 @@ def two_sweep_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
         box = float(np.prod(np.maximum(ref - objs[p], 0.0)))
         out[p] = box - hv_exact(np.maximum(objs[survives[p]], objs[p]), ref)
     return out
+
+
+def smsemoa_select(objs: np.ndarray, count: int, ref: np.ndarray) -> np.ndarray:
+    """SMS-EMOA selection on a whole pool: drop members of the worst front
+    by smallest exclusive hypervolume contribution until ``count`` remain;
+    better fronts are never touched."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    alive = np.arange(objs.shape[0])
+    while alive.size > count:
+        worst = fast_non_dominated_sort(objs[alive])[-1]
+        drop = worst[hosts._least_contributor(objs[alive][worst], ref)]
+        alive = np.delete(alive, drop)
+    return alive
+
+
+class BaselineEstimator:
+    """The earlier reference-point tracker that the runner kept beside every
+    host and wrote into ``host.z_ref`` after each step.
+
+    ``running-min`` keeps the best value seen per objective; ``ut`` and
+    ``drp`` subtract an optimism offset from it, expressed in the current
+    population's normalized objective space.  The two estimation-component
+    kinds also report the running minimum (their influence flows through
+    the offspring they inject).
+    """
+
+    def __init__(self, config: EstimatorConfig, m: int):
+        self.config = config
+        self.z_running = np.full(m, np.inf)
+
+    def observe(self, objs: np.ndarray) -> None:
+        objs = np.atleast_2d(np.asarray(objs, dtype=float))
+        if objs.shape[0]:
+            self.z_running = np.minimum(self.z_running, objs.min(axis=0))
+
+    def estimate(
+        self,
+        z_min_pop: np.ndarray,
+        z_max_pop: np.ndarray,
+        fe: int,
+        fe_max: int,
+    ) -> np.ndarray:
+        kind = self.config.kind
+        if kind in ("running-min", "eie", "eie-separate"):
+            return self.z_running.copy()
+        span = np.maximum(z_max_pop - z_min_pop, RANGE_GUARD)
+        if kind == "ut":
+            return self.z_running - UT_BETA * span
+        if kind == "drp":
+            return self.z_running - drp_beta(fe, fe_max) * span
+        raise AssertionError(kind)
 
 
 def assert_equals_two_sweeps(objs, ref):
@@ -615,28 +666,44 @@ class TestHostsEndToEnd:
         assert o2.size == 5 and budget.exhausted
 
 
+def constant_moead(objs):
+    """A MOEA/D host on a stub problem that scores every point ``objs``, so
+    the running minimum moves only with the rows a test injects."""
+    problem = SimpleNamespace(m=2, n=4, bounds=UNIT)
+    budget = EvaluationBudget(
+        10_000, _eval=lambda xs: np.tile(np.asarray(objs, float), (len(xs), 1)))
+    host = make_host(problem, HostConfig(kind="moead", population_size=10),
+                     budget, make_rng(15))
+    return host, budget
+
+
+def injected(fs):
+    fs = np.atleast_2d(np.asarray(fs, dtype=float))
+    return OffspringBatch(np.full((fs.shape[0], 4), 0.5), fs,
+                          np.zeros(fs.shape[0], dtype=int))
+
+
 class TestBaselineEstimators:
     def test_running_min_monotone(self):
-        est = BaselineEstimator(EstimatorConfig(kind="running-min"), 2)
+        host, budget = constant_moead([2.0, 2.0])
         rng = make_rng(15)
         prev = np.full(2, np.inf)
         for _ in range(30):
-            est.observe(rng.random((10, 2)))
-            cur = est.estimate(np.zeros(2), np.ones(2), 0, 100)
+            host.step(injected(rng.random((10, 2))), budget, rng)
+            cur = host.z_ref
             assert np.all(cur <= prev)
             prev = cur
 
     def test_only_improved_component_moves(self):
-        est = BaselineEstimator(EstimatorConfig(kind="running-min"), 2)
-        est.observe(np.array([[1.0, 1.0]]))
-        est.observe(np.array([[0.5, 2.0]]))
-        got = est.estimate(np.zeros(2), np.ones(2), 0, 100)
-        assert got.tolist() == [0.5, 1.0]
+        host, budget = constant_moead([3.0, 3.0])
+        rng = make_rng(16)
+        host.step(injected([[1.0, 1.0]]), budget, rng)
+        host.step(injected([[0.5, 2.0]]), budget, rng)
+        assert host.z_ref.tolist() == [0.5, 1.0]
 
     def test_optimism_offset_in_normalized_space(self):
-        est = BaselineEstimator(EstimatorConfig(kind="ut"), 2)
-        est.observe(np.array([[2.0, 30.0]]))
-        got = est.estimate(np.array([0.0, 0.0]), np.array([10.0, 100.0]), 0, 100)
+        pop_f = np.array([[0.0, 0.0], [10.0, 100.0]])
+        got = reference_point("ut", np.array([2.0, 30.0]), pop_f, 0, 100)
         assert got == pytest.approx([2.0 - 1.0, 30.0 - 10.0])
 
     def test_decaying_offset_hits_floor_exactly(self):
@@ -650,9 +717,8 @@ class TestBaselineEstimators:
         assert min(betas) >= 1e-3
 
     def test_drp_estimate_uses_decay(self):
-        est = BaselineEstimator(EstimatorConfig(kind="drp"), 1)
-        est.observe(np.array([[5.0]]))
-        at_end = est.estimate(np.zeros(1), np.ones(1), 100, 100)
+        at_end = reference_point("drp", np.array([5.0]),
+                                 np.array([[0.0], [1.0]]), 100, 100)
         assert at_end[0] == pytest.approx(5.0 - 1e-3)
 
     def test_config_validation(self):
@@ -664,6 +730,15 @@ class TestBaselineEstimators:
     def test_none_alias_rejected(self):
         with pytest.raises(ValueError):
             EstimatorConfig(kind="none")
+
+    @pytest.mark.parametrize("kind", ["nsga2", "moead", "smsemoa"])
+    def test_make_host_rejects_unknown_estimator(self, kind):
+        problem = get_problem("mop1")
+        budget = EvaluationBudget(500, _eval=problem.evaluate_batch)
+        with pytest.raises(ValueError, match="unknown estimator"):
+            make_host(problem, HostConfig(kind=kind, population_size=20),
+                      budget, make_rng(17), "none")
+        assert budget.used == 0
 
     def test_neighborhoods_are_nearest_weights(self):
         problem = get_problem("mop1")
