@@ -48,6 +48,10 @@ class RunConfig:
     def __post_init__(self):
         if self.fe_max <= self.host.population_size:
             raise ValueError("fe_max must exceed the population size")
+        if self.snapshot_every < 1:
+            raise ValueError(f"snapshot_every must be at least 1, not {self.snapshot_every}")
+        if not self.epsilon > 0:  # NaN too
+            raise ValueError(f"epsilon must be positive, not {self.epsilon}")
         # ut and drp act only through MoeadHost's reference point
         if self.estimator.kind in ("ut", "drp") and self.host.kind != "moead":
             raise ValueError(
@@ -97,9 +101,9 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
 
     component = None
     if config.estimator.kind in ("eie", "eie-separate"):
-        mode = "ews" if config.estimator.kind == "eie" else "separate"
         component = IdealEstimation(
-            problem, epsilons=np.full(problem.m, config.epsilon), mode=mode
+            problem, epsilons=np.full(problem.m, config.epsilon),
+            kind=config.estimator.kind,
         )
         component.initialize(host.pop_x, host.pop_f)
 
@@ -117,10 +121,7 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
         trajectory.append((budget.used, e, hv))
 
     while not budget.exhausted:
-        if component is not None and component.active:
-            o1 = component.produce_offspring(budget, rng)
-        else:
-            o1 = empty
+        o1 = component.produce_offspring(budget, rng) if component is not None else empty
         o2 = host.step(o1, budget, rng)
         if component is not None:
             component.update(host.pop_f, o1, o2, host.pop_x)
@@ -149,12 +150,20 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
 
 
 def worker_count(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
+    """The requested process count, else IDEALBENCH_WORKERS, else up to 4."""
+    if requested is None:
+        requested = int(os.environ.get(WORKERS_ENV) or min(4, os.cpu_count() or 1))
+    if requested < 1:
+        raise ValueError(f"worker count must be positive, not {requested}")
+    return requested
+
+
+def check_seeds(seeds) -> list:
+    """The seeds as ints; they must be non-empty, distinct and non-negative."""
+    seeds = [int(s) for s in seeds]
+    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise ValueError(f"seeds must be non-empty, distinct and non-negative: {seeds}")
+    return seeds
 
 
 def run_suite(
@@ -166,9 +175,7 @@ def run_suite(
     allowed, returning one record per cell with configs outer and seeds
     inner.  A failed cell is recorded as None in-place and does not stop
     the suite."""
-    seeds = [int(s) for s in seeds]
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be non-empty and distinct")
+    seeds = check_seeds(seeds)
     jobs = [(cfg, seed) for cfg in configs for seed in seeds]
     workers = worker_count(parallelism)
     results: list = [None] * len(jobs)

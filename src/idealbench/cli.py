@@ -11,9 +11,9 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .bench import (RunConfig, build_report, cell_name, emit, default_fe_max,
-                    default_population_size, format_report, load_raw,
-                    run_suite)
+from .bench import (WORKERS_ENV, RunConfig, build_report, cell_name,
+                    check_seeds, default_fe_max, default_population_size, emit,
+                    format_report, load_raw, run_suite, worker_count)
 from .core import make_rng
 from .generator import (get_problem, preset_names, sample_pareto_front,
                         sample_pareto_set)
@@ -41,7 +41,8 @@ def list_problems():
 @click.argument("problem")
 @click.option("--what", type=click.Choice(["pf", "ps", "random"]), default="pf",
               help="Front samples, optimal-set samples, or random solutions.")
-@click.option("--count", type=int, default=None, help="Sample count.")
+@click.option("--count", type=click.IntRange(min=1), default=None,
+              help="Sample count.")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def sample(problem, what, count, seed, out):
@@ -89,8 +90,8 @@ def _split(value: str) -> list:
               help="Full-scale protocol: 30 seeds, 200k/400k evaluations;"
                    " excludes --seeds and --fe-max.")
 @click.option("--out", "output_dir", type=click.Path(file_okay=False), default="results")
-@click.option("--workers", type=int, default=None,
-              help="Process count; also via IDEALBENCH_WORKERS.")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              envvar=WORKERS_ENV, help=f"Process count; also via {WORKERS_ENV}.")
 @click.pass_context
 def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
         snapshot_every, scalarization, paper_protocol, output_dir, workers):
@@ -122,15 +123,14 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
     hosts = _split(host) if host else list(np.atleast_1d(file_cfg.get("host", "moead")))
     estimators = _split(estimator) if estimator else list(
         np.atleast_1d(file_cfg.get("estimator", "running-min")))
-    seed_list = ([int(s) for s in _split(seeds)] if seeds
-                 else [int(s) for s in file_cfg.get("seeds", list(range(10)))])
-    if paper_protocol:
-        seed_list = list(range(30))
     if ctx.get_parameter_source("output_dir") is ParameterSource.DEFAULT:
         output_dir = file_cfg.get("output_dir", output_dir)  # a typed --out wins
 
     configs = []
     try:
+        seed_list = check_seeds(
+            range(30) if paper_protocol else _split(seeds) if seeds
+            else np.atleast_1d(file_cfg.get("seeds", range(10))))
         for prob_name in problems:
             prob = get_problem(prob_name)
             pop = pick(pop_size, "pop_size", default_population_size(prob.m))
@@ -152,11 +152,15 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
                         snapshot_every=int(pick(snapshot_every, "snapshot_every", 1000)),
                         epsilon=float(pick(epsilon, "epsilon", 0.05)),
                     ))
-    except (KeyError, ValueError) as exc:  # an unknown name or a rejected combination
+        if not configs:
+            raise ValueError("no problem, host or estimator given")
+    except (KeyError, ValueError) as exc:  # an unknown name or a rejected value
         raise click.UsageError(exc.args[0]) from exc
-    click.echo(f"running {len(configs)} config(s) x {len(seed_list)} seed(s)")
-    records = run_suite(configs, seed_list, parallelism=workers)
     jobs = [(cfg, seed) for cfg in configs for seed in seed_list]  # records' order
+    workers = min(worker_count(workers), len(jobs))
+    click.echo(f"running {len(configs)} config(s) x {len(seed_list)} seed(s)"
+               f" on {workers} worker(s)")
+    records = run_suite(configs, seed_list, parallelism=workers)
     failed = [cell_name(*job) for job, rec in zip(jobs, records) if rec is None]
     done = [r for r in records if r is not None]
     if done:

@@ -7,8 +7,9 @@ bookkeeping.  The search distribution is ``N(mean, sigma^2 S C S)`` with
 ``S = diag(scales)``: the covariance ``C`` is kept within the condition
 number float64 resolves, and the scales carry axis-aligned differences
 beyond it.  It is warm-started from an external solution set, accepts
-injected candidates in `tell`, and reports the four stopping criteria
-(three conventional, one exceptional) after every generation.
+injected candidates in `tell`, and after every generation returns the names
+of the stopping criteria that fired: `TolXUp` is exceptional, the other three
+conventional.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import types
 import warnings
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ WARM_START_QUANTILE = 0.1
 MAX_CONDITION = 1e12
 EIGEN_RESOLUTION = float(np.finfo(float).eps)  # per dimension, relative to the top
 
-CONVENTIONAL = frozenset({"NoEffectAxis", "NoEffectCoord", "TolFunTolX"})
 EXCEPTIONAL = frozenset({"TolXUp"})
 
 
@@ -43,28 +42,6 @@ def default_lambda(n: int) -> int:
     if n < 1:
         raise ValueError("dimension must be positive")
     return 4 + int(math.floor(3.0 * math.log(n)))
-
-
-@dataclass(frozen=True)
-class StopReport:
-    """Which stopping criteria fired after a generation."""
-
-    triggered: frozenset
-
-    @property
-    def conventional(self) -> bool:
-        return bool(self.triggered & CONVENTIONAL)
-
-    @property
-    def exceptional(self) -> bool:
-        return bool(self.triggered & EXCEPTIONAL)
-
-    @property
-    def any(self) -> bool:
-        return bool(self.triggered)
-
-
-EMPTY_REPORT = StopReport(frozenset())
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,7 +140,7 @@ class CmaProcedure:
         self.p_sigma = np.zeros(self.n)
         self.p_c = np.zeros(self.n)
         self.generation = 0
-        self.status = "running"
+        self.live = True
 
         self._psa_path = np.zeros(self.n)
         self._psa_warmup = 0.0
@@ -212,7 +189,6 @@ class CmaProcedure:
             active_cma=self.active_cma,
         )
         self.__dict__.update(fresh.__dict__)
-        self.status = "restarted"
 
     # -- internals --------------------------------------------------------
 
@@ -272,7 +248,7 @@ class CmaProcedure:
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
         """Sample the current population, clamped to the box if one is set."""
-        if self.status == "stopped":
+        if not self.live:
             raise RuntimeError("procedure has stopped")
         z = rng.standard_normal((self.lam, self.n))
         xs = self.mean + self.sigma * self.scales * (
@@ -288,7 +264,7 @@ class CmaProcedure:
         fitness: np.ndarray,
         injected_xs: np.ndarray | None = None,
         injected_fitness: np.ndarray | None = None,
-    ) -> StopReport:
+    ) -> frozenset:
         """One generation update from scored candidates.
 
         Injected candidates join the selection pool only while the
@@ -447,10 +423,11 @@ class CmaProcedure:
 
     # -- stopping ---------------------------------------------------------
 
-    def check_stop(self) -> StopReport:
-        """Evaluate the four stopping criteria on the current state."""
+    def check_stop(self) -> frozenset:
+        """Names of those of the four stopping criteria that fire on the
+        current state; none fire before the first generation."""
         if self.generation == 0:
-            return EMPTY_REPORT
+            return frozenset()
         triggered = set()
         mean, sigma = self.mean, self.sigma
         d, b = self._sqrt_eigvals, self.scales[:, None] * self._eigvecs
@@ -478,11 +455,7 @@ class CmaProcedure:
         if np.any(axis_len > 1e4 * self.sigma0 * np.sqrt(self.init_eigenvalues)):
             triggered.add("TolXUp")
 
-        return StopReport(frozenset(triggered))
+        return frozenset(triggered)
 
     def stop(self) -> None:
-        self.status = "stopped"
-
-    @property
-    def live(self) -> bool:
-        return self.status != "stopped"
+        self.live = False

@@ -15,11 +15,9 @@ objective ranges are equal, via ``alpha = eps / (eps + 1)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cmaes import CmaProcedure
+from .cmaes import EXCEPTIONAL, CmaProcedure
 from .core import EvaluationBudget, OffspringBatch
 
 DEFAULT_EPSILON = 0.05
@@ -41,19 +39,14 @@ def error_bound(alpha: float, beta: float) -> float:
     return alpha * beta / (1.0 - alpha)
 
 
-@dataclass(frozen=True)
-class EwsSubproblem:
-    """One extreme-weighted-sum scalarization."""
-
-    index: int
-    alpha: float
-    m: int
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.m, self.alpha / (self.m - 1))
-        w[self.index] = 1.0 - self.alpha
-        return w
+def ews_weights(alphas: np.ndarray) -> np.ndarray:
+    """Extreme-weighted-sum weights, one row per subproblem: row i puts
+    ``1 - alphas[i]`` on objective i and ``alphas[i]/(m-1)`` on the rest."""
+    alphas = np.asarray(alphas, dtype=float)
+    m = alphas.size
+    w = np.repeat(alphas[:, None] / (m - 1), m, axis=1)
+    np.fill_diagonal(w, 1.0 - alphas)
+    return w
 
 
 def normalize_objectives(
@@ -68,41 +61,37 @@ def normalize_objectives(
 
 def ews_fitness(
     objs: np.ndarray,
-    sub: EwsSubproblem,
+    weights: np.ndarray,
     z_min: np.ndarray,
     z_max: np.ndarray,
 ) -> np.ndarray:
-    """Subproblem values of a batch of objective vectors."""
+    """Values of a batch of objective vectors on the subproblem with the
+    given weight vector (a row of `ews_weights`)."""
     scaled = normalize_objectives(np.atleast_2d(objs), z_min, z_max)
-    return scaled @ sub.weights
+    return scaled @ weights
 
 
 class IdealEstimation:
     """m concurrent subproblem searches plus their shared bookkeeping.
 
-    ``mode='ews'`` scores candidates by the extreme weighted sum;
-    ``mode='separate'`` is the ablation that optimizes each raw objective
-    on its own (prone to producing dominance-resistant solutions).
+    The estimator ``kind`` ``'eie'`` scores candidates by the extreme
+    weighted sum; ``'eie-separate'`` is the ablation that optimizes each raw
+    objective on its own (prone to producing dominance-resistant solutions).
     """
 
-    def __init__(
-        self,
-        problem,
-        epsilons=None,
-        mode: str = "ews",
-    ):
-        if mode not in ("ews", "separate"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, problem, epsilons=None, kind: str = "eie"):
+        if kind not in ("eie", "eie-separate"):
+            raise ValueError(f"unknown estimation kind {kind!r}")
         m = problem.m
         if epsilons is None:
             epsilons = np.full(m, DEFAULT_EPSILON)
         self.problem = problem
-        self.mode = mode
+        self.kind = kind
         self.epsilons = np.asarray(epsilons, dtype=float)
         if self.epsilons.shape != (m,):
             raise ValueError("need one tolerance per objective")
         self.alphas = np.array([alpha_from_epsilon(e) for e in self.epsilons])
-        self.subproblems = [EwsSubproblem(i, self.alphas[i], m) for i in range(m)]
+        self.weights = ews_weights(self.alphas)
         self.procedures: list = [None] * m
         self.evaluations_used = 0
         self.z_min = np.zeros(m)
@@ -111,9 +100,9 @@ class IdealEstimation:
     # -- scoring ----------------------------------------------------------
 
     def _scores(self, fs: np.ndarray, index: int) -> np.ndarray:
-        if self.mode == "separate":
+        if self.kind == "eie-separate":
             return np.atleast_2d(fs)[:, index]
-        return ews_fitness(fs, self.subproblems[index], self.z_min, self.z_max)
+        return ews_fitness(fs, self.weights[index], self.z_min, self.z_max)
 
     def _refresh_normalization(self, pop_fs: np.ndarray) -> None:
         pop_fs = np.atleast_2d(pop_fs)
@@ -131,18 +120,14 @@ class IdealEstimation:
                 pop_xs, self._scores(pop_fs, i), bounds=self.problem.bounds
             )
 
-    @property
-    def active(self) -> bool:
-        return any(proc.live for proc in self.procedures)
-
     def produce_offspring(
         self, budget: EvaluationBudget, rng: np.random.Generator
     ) -> OffspringBatch:
         """Ask every live subproblem search and evaluate the union on the
-        true problem, charging the shared budget.  Returns an empty batch
-        once every subproblem has terminated.  When the budget runs short the
-        batch ends with the first search it cannot pay for in full, cut to
-        the rows it can."""
+        true problem, charging the shared budget.  Returns an empty batch,
+        and draws nothing from ``rng``, once every subproblem has terminated.
+        When the budget runs short the batch ends with the first search it
+        cannot pay for in full, cut to the rows it can."""
         m, n = self.problem.m, self.problem.n
         xs_parts, owner_parts = [], []
         allowance = budget.remaining
@@ -187,19 +172,19 @@ class IdealEstimation:
                 continue
             own_mask = all_owner == i
             own_count = int(own_mask.sum())
-            if own_count == 0 or own_count < proc.lam:
+            if own_count < proc.lam:
                 continue  # budget cut this subproblem's batch; run is ending
             own_xs, own_fs = all_xs[own_mask], all_fs[own_mask]
             other_xs, other_fs = all_xs[~own_mask], all_fs[~own_mask]
-            report = proc.tell(
+            fired = proc.tell(
                 own_xs,
                 self._scores(own_fs, i),
                 injected_xs=other_xs if other_xs.size else None,
                 injected_fitness=self._scores(other_fs, i) if other_xs.size else None,
             )
-            if report.exceptional:
+            if fired & EXCEPTIONAL:
                 proc.warm_restart(pop_xs, self._scores(pop_fs, i))
-            elif report.conventional:
+            elif fired:
                 proc.stop()
 
     def fe_fraction(self, total_evaluations: int) -> float:

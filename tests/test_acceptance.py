@@ -14,7 +14,7 @@ from idealbench.bench import RunConfig, run_suite
 from idealbench.cli import main as cli_main
 from idealbench.cmaes import CmaProcedure
 from idealbench.core import EvaluationBudget, OffspringBatch, make_rng
-from idealbench.estimation import EwsSubproblem, alpha_from_epsilon
+from idealbench.estimation import alpha_from_epsilon, ews_weights
 from idealbench.generator import (GeneratorParams, chat, distance_values,
                                   get_problem, position_value, preset,
                                   preset_names, remap)
@@ -50,10 +50,9 @@ def test_criterion_1_scalarization_error_bound():
     for m in (2, 3):
         front = _simplex_uniform(m, 100_000, rng)
         for eps in (0.005, 0.01, 0.05):
-            alpha = alpha_from_epsilon(eps)
+            weights = ews_weights([alpha_from_epsilon(eps)] * m)
             for i in range(m):
-                sub = EwsSubproblem(i, alpha, m)
-                winner = front[np.argmin(front @ sub.weights)]
+                winner = front[np.argmin(front @ weights[i])]
                 ok &= winner[i] <= eps + 1e-3
                 details.append(f"m={m} eps={eps} i={i} err={winner[i]:.4g}")
     elapsed = time.time() - start

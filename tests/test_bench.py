@@ -85,6 +85,16 @@ class TestRunTrial:
                       host=HostConfig(population_size=100),
                       fe_max=50)
 
+    @pytest.mark.parametrize("field,value", [
+        ("snapshot_every", 0), ("snapshot_every", -5), ("epsilon", 0.0),
+        ("epsilon", -0.05), ("epsilon", float("nan")),
+    ])
+    def test_unusable_snapshot_interval_or_tolerance_rejected(self, field, value):
+        # snapshot_every 0 divided by zero and a negative one snapshotted every
+        # generation; epsilon <= 0 failed every eie cell at run time
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("host", ["nsga2", "smsemoa"])
     @pytest.mark.parametrize("estimator", ["ut", "drp"])
     def test_reference_point_estimator_needs_moead(self, host, estimator):
@@ -100,6 +110,22 @@ class TestRunTrial:
             run_suite([small_config()], seeds=[0, 0])
         with pytest.raises(ValueError):
             run_suite([small_config()], seeds=[])
+        with pytest.raises(ValueError, match="non-negative"):
+            run_suite([small_config()], seeds=[0, -1])
+
+    def test_worker_count_must_be_positive(self, monkeypatch):
+        monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
+        assert bench.worker_count(3) == 3
+        assert 1 <= bench.worker_count() <= 4
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                bench.worker_count(bad)
+        monkeypatch.setenv(bench.WORKERS_ENV, "2")
+        assert bench.worker_count() == 2
+        for bad in ("0", "-1", "abc"):
+            monkeypatch.setenv(bench.WORKERS_ENV, bad)
+            with pytest.raises(ValueError):
+                bench.worker_count()
 
 
 class TestKernelOracles:
@@ -405,6 +431,7 @@ class TestCli:
             "--workers", "1",
         ])
         assert result.exit_code == 0, result.output
+        assert "running 2 config(s) x 2 seed(s) on 1 worker(s)" in result.output
         assert (res / "raw.csv").exists() and (res / "trajectory.csv").exists()
         report = CliRunner().invoke(
             cli_main, ["report", str(res), "--reference", "moead+eie"])
@@ -542,3 +569,47 @@ class TestCli:
         assert result.exit_code == 2, result.output  # click usage error
         assert message in result.output and "Traceback" not in result.output
         assert not res.exists()
+
+    @pytest.mark.parametrize("flags,env,message", [
+        (["--snapshot-every", "0"], {}, "snapshot_every"),
+        (["--snapshot-every", "-5"], {}, "snapshot_every"),
+        (["--epsilon", "0"], {}, "epsilon"),
+        (["--seeds", "1,1"], {}, "distinct"),
+        (["--seeds", "0,-3"], {}, "non-negative"),
+        (["--seeds", "0,x"], {}, "invalid literal"),
+        (["--problem", ","], {}, "no problem"),
+        (["--workers", "0"], {}, "--workers"),
+        (["--workers", "-2"], {}, "--workers"),
+        ([], {bench.WORKERS_ENV: "0"}, "--workers"),
+        ([], {bench.WORKERS_ENV: "abc"}, "--workers"),
+    ])
+    def test_run_rejects_bad_values_before_any_trial(self, flags, env, message,
+                                                     tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        args = ["run", "--problem", "mop1", "--estimator", "eie", "--seeds", "0",
+                "--fe-max", "1200", "--pop-size", "30", "--out", str(res)]
+        result = CliRunner().invoke(cli_main, args + flags, env=env)
+        assert result.exit_code == 2, result.output  # click usage error
+        assert message in result.output and "Traceback" not in result.output
+        assert "running" not in result.output
+        assert not calls and not res.exists()
+
+    def test_config_file_takes_a_single_seed(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "seeds": 3}))
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda configs, seeds, parallelism:
+                            seen.append(seeds) or [])
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output  # was a TypeError
+        assert seen == [[3]]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_rejects_nonpositive_count(self, count, tmp_path):
+        out = tmp_path / "pf.csv"
+        result = CliRunner().invoke(
+            cli_main, ["sample", "mop1", "--count", count, "--out", str(out)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "--count" in result.output and not out.exists()

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from idealbench.cmaes import StopReport
 from idealbench.core import (EvaluationBudget, OffspringBatch,
                              fast_non_dominated_sort, make_rng)
-from idealbench.estimation import (EwsSubproblem, IdealEstimation,
-                                   alpha_from_epsilon, error_bound,
-                                   ews_fitness, normalize_objectives)
+from idealbench.estimation import (IdealEstimation, alpha_from_epsilon,
+                                   error_bound, ews_fitness, ews_weights,
+                                   normalize_objectives)
 from idealbench.generator import get_problem
 
 
@@ -45,48 +44,54 @@ class TestErrorBound:
         front = np.column_stack([t, 1 - t])
         for eps in (0.01, 0.05):
             alpha = alpha_from_epsilon(eps)
-            sub = EwsSubproblem(0, alpha, 2)
-            values = front @ sub.weights
+            values = front @ ews_weights([alpha, alpha])[0]
             winner = front[np.argmin(values)]
             assert winner[0] <= error_bound(alpha, 1.0) + 1e-3
 
 
 class TestEwsFitness:
     def test_weighted_sum(self):
-        sub = EwsSubproblem(0, 0.25, 2)
-        got = ews_fitness(np.array([[0.0, 1.0]]), sub, np.zeros(2), np.ones(2))
+        w = ews_weights([0.25, 0.25])[0]
+        got = ews_fitness(np.array([[0.0, 1.0]]), w, np.zeros(2), np.ones(2))
         assert got[0] == pytest.approx(0.25)
 
     def test_zero_vector(self):
-        sub = EwsSubproblem(1, 0.1, 2)
-        got = ews_fitness(np.zeros((1, 2)), sub, np.zeros(2), np.ones(2))
+        w = ews_weights([0.1, 0.1])[1]
+        got = ews_fitness(np.zeros((1, 2)), w, np.zeros(2), np.ones(2))
         assert got[0] == 0.0
 
     def test_convex_combination_of_equal_values(self):
-        sub = EwsSubproblem(2, 0.3, 3)
-        got = ews_fitness(np.ones((1, 3)), sub, np.zeros(3), np.ones(3))
+        w = ews_weights([0.3] * 3)[2]
+        got = ews_fitness(np.ones((1, 3)), w, np.zeros(3), np.ones(3))
         assert got[0] == pytest.approx(1.0)
 
     def test_weights_sum_to_one_and_positive(self):
         for m in (2, 3):
             for alpha in (0.01, 0.3, 0.5):
-                for i in range(m):
-                    w = EwsSubproblem(i, alpha, m).weights
+                for w in ews_weights([alpha] * m):
                     assert w.sum() == pytest.approx(1.0)
                     assert np.all(w > 0)
 
+    def test_each_row_weights_its_own_objective(self):
+        alphas = [0.01, 0.3, 0.5]
+        w = ews_weights(alphas)
+        for i, alpha in enumerate(alphas):
+            want = np.full(3, alpha / 2)
+            want[i] = 1.0 - alpha
+            assert np.array_equal(w[i], want)
+
     def test_degenerate_normalization_guard(self):
-        sub = EwsSubproblem(0, 0.2, 2)
         same = np.array([3.0, 5.0])
-        got = ews_fitness(np.array([[3.0, 5.0]]), sub, same, same)
+        got = ews_fitness(np.array([[3.0, 5.0]]), ews_weights([0.2, 0.2])[0],
+                          same, same)
         assert np.isfinite(got).all()
 
     def test_optimum_is_never_dominated(self):
         rng = make_rng(1)
         for _ in range(20):
             objs = rng.random((60, 3))
-            sub = EwsSubproblem(rng.integers(0, 3), 0.05, 3)
-            scores = ews_fitness(objs, sub, objs.min(axis=0), objs.max(axis=0))
+            w = ews_weights([0.05] * 3)[rng.integers(0, 3)]
+            scores = ews_fitness(objs, w, objs.min(axis=0), objs.max(axis=0))
             winner = int(np.argmin(scores))
             assert winner in fast_non_dominated_sort(objs)[0]
 
@@ -132,13 +137,14 @@ class TestComponentLifecycle:
         for proc in comp.procedures:
             proc.stop()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
+        state = rng.bit_generator.state
         for _ in range(3):
             batch = comp.produce_offspring(budget, rng)
             assert batch.size == 0
-        assert not comp.active and budget.used == 0
+        assert budget.used == 0 and rng.bit_generator.state == state
 
     def test_separate_mode_scores_raw_objective(self):
-        _, comp, _, fs, _ = make_component(mode="separate")
+        _, comp, _, fs, _ = make_component(kind="eie-separate")
         scores = comp._scores(fs, 1)
         assert np.array_equal(scores, fs[:, 1])
 
@@ -147,7 +153,7 @@ class TestComponentLifecycle:
         comp._refresh_normalization(fs)
         scores = comp._scores(fs, 0)
         scaled = normalize_objectives(fs, comp.z_min, comp.z_max)
-        expected = scaled @ comp.subproblems[0].weights
+        expected = scaled @ comp.weights[0]
         assert scores == pytest.approx(expected)
 
     def test_update_runs_and_refreshes_bounds(self):
@@ -165,7 +171,7 @@ class TestComponentLifecycle:
         o1 = comp.produce_offspring(budget, rng)
         monkeypatch.setattr(
             comp.procedures[0].__class__, "tell",
-            lambda self, *a, **k: StopReport(frozenset({"NoEffectCoord"})),
+            lambda self, *a, **k: frozenset({"NoEffectCoord"}),
         )
         comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
         assert [proc.live for proc in comp.procedures] == [False, False]
@@ -178,11 +184,13 @@ class TestComponentLifecycle:
         o1 = comp.produce_offspring(budget, rng)
         monkeypatch.setattr(
             comp.procedures[0].__class__, "tell",
-            lambda self, *a, **k: StopReport(frozenset({"TolXUp"})),
+            lambda self, *a, **k: frozenset({"TolXUp"}),
         )
+        for proc in comp.procedures:
+            proc.sigma = 0.5
         comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
         assert [proc.live for proc in comp.procedures] == [True, True]
-        assert all(p.status == "restarted" for p in comp.procedures)
+        assert all(p.sigma == p.sigma0 == 1.0 for p in comp.procedures)
 
     def test_fe_fraction(self):
         problem, comp, *_ , rng = make_component()
@@ -192,7 +200,7 @@ class TestComponentLifecycle:
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            IdealEstimation(get_problem("mop1"), mode="bogus")
+            IdealEstimation(get_problem("mop1"), kind="bogus")
 
     def test_tolerance_shape_validation(self):
         with pytest.raises(ValueError):
