@@ -48,6 +48,7 @@ class RunConfig:
     def __post_init__(self):
         if self.fe_max <= self.host.population_size:
             raise ValueError("fe_max must exceed the population size")
+        self.host.check_population(get_problem(self.problem).m)
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be at least 1, not {self.snapshot_every}")
         if not self.epsilon > 0:  # NaN too

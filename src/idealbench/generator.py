@@ -121,6 +121,35 @@ class GeneratorParams:
         c, nmat, r0 = _ratio_frame(self.c_dis)
         return _frozen(c), _frozen(nmat), r0
 
+    @cached_property
+    def bounds_tolerance(self) -> tuple:
+        """The box bounds widened by 1e-9, which ``evaluate`` still accepts."""
+        b = self.bounds
+        return _frozen(b.lower - 1e-9), _frozen(b.upper + 1e-9)
+
+    @cached_property
+    def remap_frame(self) -> tuple:
+        """``remap``'s centres, coefficients and exponent for ``chat_vals``
+        and ``gamma``."""
+        *arrays, g = _remap_frame(self.chat_vals, self.gamma)
+        return (*map(_frozen, arrays), g)
+
+    @cached_property
+    def position_groups(self) -> tuple:
+        """``(slice, size)`` of each of the m-1 position-variable groups."""
+        return _groups(self.s, self.m - 1)
+
+    @cached_property
+    def distance_groups(self) -> tuple:
+        """``(slice, size)`` of each of the m distance-variable groups."""
+        return _groups(self.n - self.s, self.m)
+
+    @cached_property
+    def flat_distance(self) -> tuple:
+        """Distance anchor (1, n-s) and weight (1,) of an instance without a
+        distance centre, where ``ell`` is identically 0."""
+        return tuple(map(_frozen, _anchor_and_weight(np.zeros(1), self)))
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -137,9 +166,22 @@ def sigma(x_pos: np.ndarray, m: int) -> np.ndarray:
     s = x_pos.shape[1]
     if s < m - 1:
         raise ValueError("need at least m-1 position variables")
-    out = np.empty((x_pos.shape[0], m - 1))
-    for i in range(m - 1):
-        out[:, i] = x_pos[:, i::(m - 1)].mean(axis=1)
+    return _group_means(x_pos, _groups(s, m - 1))
+
+
+def _groups(count: int, size: int) -> tuple:
+    # variable j belongs to group j % size
+    return tuple((slice(i, None, size), len(range(i, count, size)))
+                 for i in range(size))
+
+
+def _group_means(block: np.ndarray, groups: tuple) -> np.ndarray:
+    # ndarray.mean is exactly add.reduce, then a division by the count; calling
+    # them directly skips NumPy's Python-level wrapper (not @: BLAS sums in a
+    # different order)
+    out = np.empty((block.shape[0], len(groups)))
+    for i, (sl, count) in enumerate(groups):
+        out[:, i] = np.add.reduce(block[:, sl], axis=1) / count
     return out
 
 
@@ -174,16 +216,23 @@ def remap(sig: np.ndarray, chat_vals: np.ndarray, gamma: float) -> np.ndarray:
     at 1 at sigma = (1+chat)/2; sigma in {0, 1} lands back on chat, so the
     extremes of the output cannot be reached by clamping the inputs.
     """
-    sig = np.asarray(sig, dtype=float)
+    return _remap(np.asarray(sig, dtype=float), *_remap_frame(chat_vals, gamma))
+
+
+def _remap_frame(chat_vals, gamma: float) -> tuple:
     c = np.asarray(chat_vals, dtype=float)
     g = float(gamma)
     # 2^g / c^(g-1) rewritten as 2^g * c^(1-g) so degenerate centers stay finite
     coef_lo = 2.0**g * np.power(c, 1.0 - g)
     coef_hi = 2.0**g * np.power(1.0 - c, 1.0 - g)
-    lo = coef_lo * np.abs(sig - c / 2.0) ** g
-    hi = 1.0 - coef_hi * np.abs(sig - (1.0 + c) / 2.0) ** g
-    out = np.where(sig < c, lo, np.where(sig > c, hi, sig))
-    return out
+    return c, c / 2.0, (1.0 + c) / 2.0, coef_lo, coef_hi, g
+
+
+def _remap(sig: np.ndarray, c: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
+           coef_lo: np.ndarray, coef_hi: np.ndarray, g: float) -> np.ndarray:
+    lo = coef_lo * np.abs(sig - c_lo) ** g
+    hi = 1.0 - coef_hi * np.abs(sig - c_hi) ** g
+    return np.where(sig < c, lo, np.where(sig > c, hi, sig))
 
 
 def simplex_map(xhat: np.ndarray) -> np.ndarray:
@@ -200,15 +249,14 @@ def simplex_map(xhat: np.ndarray) -> np.ndarray:
 
 
 def position_value(x_pos: np.ndarray, params: GeneratorParams):
-    """Position part of the objectives.
+    """Position part of the objectives for position variables of shape (k, s).
 
     Returns ``(h, y)`` where ``y`` is the raw simplex image (also consumed by
     the distance part) and ``h_i = y_i^p_i``, or ``1 - y_i^p_i`` for inverted
     instances.
     """
-    sig = sigma(x_pos, params.m)
-    xhat = remap(sig, params.chat_vals, params.gamma)
-    y = simplex_map(xhat)
+    sig = _group_means(x_pos, params.position_groups)
+    y = simplex_map(_remap(sig, *params.remap_frame))
     h = np.power(y, params.p_vector)
     if params.inverted:
         h = 1.0 - h
@@ -253,20 +301,16 @@ def scale_b(ell: np.ndarray, beta: float, m: int) -> np.ndarray:
     return np.power(base, float(beta))
 
 
-def _distance_group_slices(params: GeneratorParams):
-    # distance variable j (0-based within x_dist) belongs to group j % m
-    return [slice(i, None, params.m) for i in range(params.m)]
-
-
 def _distance_anchor(ell: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """Per-variable optimum of the distance variables, shape (k, n-s).
-
-    Both the evaluator and the optimal-set sampler call this, so sampled
-    optima reproduce ``t = 0`` bitwise.
-    """
+    """Per-variable optimum of the distance variables, shape (k, n-s)."""
     b_shape = scale_b(ell, params.a2, params.m)
     arg = params.a5 * np.pi * ell[:, None] + params.distance_phase[None, :]
     return 0.9 * b_shape[:, None] * np.cos(arg)
+
+
+def _anchor_and_weight(ell: np.ndarray, params: GeneratorParams) -> tuple:
+    return (_distance_anchor(ell, params),
+            params.a1 * scale_b(ell, params.a4, params.m) + 1.0)
 
 
 def _ell_of(y: np.ndarray, params: GeneratorParams) -> np.ndarray:
@@ -275,16 +319,24 @@ def _ell_of(y: np.ndarray, params: GeneratorParams) -> np.ndarray:
     return _ratio(y, *params.ratio_frame)
 
 
-def _distance_from_ell(
-    x_dist: np.ndarray, ell: np.ndarray, params: GeneratorParams
+def _distance_frame(y: np.ndarray, params: GeneratorParams) -> tuple:
+    """Distance anchor and weight of the rows with simplex images ``y``.
+
+    Without a distance centre both are the instance's constants, one row for
+    every row.  The evaluator and the optimal-set sampler both take them from
+    here, so sampled optima reproduce ``t = 0`` bitwise.
+    """
+    if params.c_dis is None:
+        return params.flat_distance
+    return _anchor_and_weight(_ell_of(y, params), params)
+
+
+def _distance_from_y(
+    x_dist: np.ndarray, y: np.ndarray, params: GeneratorParams
 ) -> np.ndarray:
-    t = x_dist - _distance_anchor(ell, params)
-    powered = np.abs(t) ** params.a3
-    weight = params.a1 * scale_b(ell, params.a4, params.m) + 1.0
-    out = np.empty((x_dist.shape[0], params.m))
-    for i, sl in enumerate(_distance_group_slices(params)):
-        out[:, i] = weight * powered[:, sl].mean(axis=1)
-    return out
+    anchor, weight = _distance_frame(y, params)
+    powered = np.abs(x_dist - anchor) ** params.a3
+    return weight[:, None] * _group_means(powered, params.distance_groups)
 
 
 def distance_values(
@@ -294,7 +346,7 @@ def distance_values(
     x_pos = np.atleast_2d(np.asarray(x_pos, dtype=float))
     x_dist = np.atleast_2d(np.asarray(x_dist, dtype=float))
     _, y = position_value(x_pos, params)
-    return _distance_from_ell(x_dist, _ell_of(y, params), params)
+    return _distance_from_y(x_dist, y, params)
 
 
 def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
@@ -302,12 +354,12 @@ def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params.n:
         raise ValueError(f"expected {params.n} variables, got {x.shape[1]}")
-    b = params.bounds
-    if np.any(x < b.lower - 1e-9) or np.any(x > b.upper + 1e-9):
+    lower, upper = params.bounds_tolerance
+    if (x < lower).any() or (x > upper).any():
         raise ValueError("decision vector outside the box bounds")
     x_pos, x_dist = x[:, : params.s], x[:, params.s :]
     h, y = position_value(x_pos, params)
-    g = _distance_from_ell(x_dist, _ell_of(y, params), params)
+    g = _distance_from_y(x_dist, y, params)
     return (h + g @ params.theta_matrix.T) * params.w_vector
 
 
@@ -317,9 +369,8 @@ def sample_pareto_set(
     """Decision vectors with all distance parts exactly zero, shape (count, n)."""
     x_pos = rng.random((count, params.s))
     _, y = position_value(x_pos, params)
-    ell = _ell_of(y, params)
-    x_dist = _distance_anchor(ell, params)
-    return np.hstack([x_pos, x_dist])
+    anchor, _ = _distance_frame(y, params)
+    return np.hstack([x_pos, np.broadcast_to(anchor, (count, params.n - params.s))])
 
 
 def _simplex_lattice(m: int, count: int) -> np.ndarray:

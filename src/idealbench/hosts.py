@@ -43,6 +43,16 @@ class HostConfig:
         if self.scalarization not in ("tchebycheff", "weighted-sum"):
             raise ValueError(f"unknown scalarization {self.scalarization!r}")
 
+    def check_population(self, m: int) -> None:
+        """Reject a population this host cannot use on ``m`` objectives."""
+        size = self.population_size
+        if size < m + 1:
+            raise ValueError(
+                f"population must exceed the objective count: {size} for {m} objectives")
+        if self.kind == "nsga2" and size < 4:
+            # each row mates from the population less its base: 3 or more members
+            raise ValueError(f"nsga2 needs a population of at least 4 to breed, not {size}")
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -536,7 +546,9 @@ class SmsEmoaHost:
     objectives.  Only the initial population is sorted; each insert updates
     the levels, and the dropped member always sits on the last level.
     Contributions are computed on the worst front normalized by the pool's
-    range, against a fixed offset reference.
+    range, against a fixed offset reference.  ``lo`` and ``hi`` hold the
+    members' per-objective minimum and maximum; an insert recomputes them
+    only when the dropped member holds one of them.
     """
 
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
@@ -548,14 +560,17 @@ class SmsEmoaHost:
         self.level = np.empty(self.pop_f.shape[0], dtype=int)
         for depth, front in enumerate(fast_non_dominated_sort(self.pop_f)):
             self.level[front] = depth
+        self.lo, self.hi = self.pop_f.min(axis=0), self.pop_f.max(axis=0)
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:
         k = self.pop_f.shape[0]
         level = _level_after_insert(self.pop_f, self.level, f)
+        # the range of the pool: the members plus the newcomer
+        lo, hi = np.minimum(self.lo, f), np.maximum(self.hi, f)
         if k < self.pop_size:
             self.pop_x = np.vstack([self.pop_x, x])
             self.pop_f = np.vstack([self.pop_f, f])
-            self.level = level
+            self.level, self.lo, self.hi = level, lo, hi
             return
         # the pool is the members plus the newcomer as row k, never stacked
         worst = np.flatnonzero(level == level.max())
@@ -563,16 +578,20 @@ class SmsEmoaHost:
             front = np.vstack([self.pop_f[worst[:-1]], f])
         else:
             front = self.pop_f[worst]
-        lo = np.minimum(self.pop_f.min(axis=0), f)
-        span = np.maximum(np.maximum(self.pop_f.max(axis=0), f) - lo, RANGE_GUARD)
+        span = np.maximum(hi - lo, RANGE_GUARD)
         drop = int(worst[_least_contributor((front - lo) / span, self.ref)])
         if drop == k:
             # the rows the newcomer moved sit below it, so on the last level
             # it moved none: the members and their levels stay as they were
             return
+        dropped = self.pop_f[drop]
         self.pop_x = np.concatenate((self.pop_x[:drop], self.pop_x[drop + 1:], x[None]))
         self.pop_f = np.concatenate((self.pop_f[:drop], self.pop_f[drop + 1:], f[None]))
         self.level = np.concatenate((level[:drop], level[drop + 1:]))
+        if ((dropped > lo) & (dropped < hi)).all():
+            self.lo, self.hi = lo, hi
+        else:  # it held an extreme (or a NaN): the survivors set the range
+            self.lo, self.hi = self.pop_f.min(axis=0), self.pop_f.max(axis=0)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
@@ -604,11 +623,7 @@ def make_host(problem, config: HostConfig, budget: EvaluationBudget,
               rng: np.random.Generator, estimator: str = "running-min"):
     """The host ``config`` names; ``estimator`` sets MOEA/D's reference-point
     rule, which the other hosts do not read."""
-    if config.population_size < problem.m + 1:
-        raise ValueError("population must exceed the objective count")
-    if config.kind == "nsga2" and config.population_size < 4:
-        # each row mates from the population less its base: 3 or more members
-        raise ValueError("nsga2 needs a population of at least 4 to breed")
+    config.check_population(problem.m)
     if estimator not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if config.kind == "moead":

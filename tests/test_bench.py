@@ -582,6 +582,8 @@ class TestCli:
         (["--workers", "-2"], {}, "--workers"),
         ([], {bench.WORKERS_ENV: "0"}, "--workers"),
         ([], {bench.WORKERS_ENV: "abc"}, "--workers"),
+        (["--pop-size", "2"], {}, "population must exceed"),
+        (["--host", "nsga2", "--pop-size", "3"], {}, "at least 4"),
     ])
     def test_run_rejects_bad_values_before_any_trial(self, flags, env, message,
                                                      tmp_path, monkeypatch):

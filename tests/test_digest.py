@@ -24,6 +24,11 @@ SEEDS = (0, 7)
 EMITTED_SHA256 = "594310a010d7b14c071981fc52e0cfb720de0df502f989b2a6fc4f869782b038"
 FULL_PRECISION_SHA256 = "87b24f6e5c1b43ac716edbec352bb23151f8bd6689d6b57095ca8770ba7f8b13"
 
+# smsemoa on mop2 at population 100 and 2.5k evaluations: the worst front
+# collapses onto most of the pool, which the 20-member cells above never reach.
+COLLAPSED_EMITTED_SHA256 = "7ee46182234c6673ae3fc9a11ce0443d17eea6af5d950efc10879942e5d8857b"
+COLLAPSED_FULL_PRECISION_SHA256 = "b5d5e54d55b1af212346a75c4c09447ddbbc26e58855ed86473dac2eba4365cc"
+
 
 def digest_configs() -> list:
     """The 44 configurations: every host x problem x population-based or
@@ -45,6 +50,16 @@ def digest_configs() -> list:
                     fe_max=fe_max, snapshot_every=500,
                 ))
     return configs
+
+
+def collapsed_front_config() -> RunConfig:
+    """The ``smsemoa`` cell whose worst front collapses."""
+    return RunConfig(
+        problem="mop2",
+        host=HostConfig(kind="smsemoa", population_size=100),
+        estimator=EstimatorConfig(kind="running-min"),
+        fe_max=2_500, snapshot_every=500,
+    )
 
 
 def emitted_digest(records: list, out_dir) -> str:
@@ -81,3 +96,10 @@ def test_fixed_seed_outputs_are_pinned(workers, tmp_path):
     assert all(rec is not None for rec in records)
     assert emitted_digest(records, tmp_path) == EMITTED_SHA256
     assert full_precision_digest(records) == FULL_PRECISION_SHA256
+
+
+def test_collapsed_front_outputs_are_pinned(tmp_path):
+    records = run_suite([collapsed_front_config()], list(SEEDS), parallelism=1)
+    assert all(rec is not None for rec in records)
+    assert emitted_digest(records, tmp_path) == COLLAPSED_EMITTED_SHA256
+    assert full_precision_digest(records) == COLLAPSED_FULL_PRECISION_SHA256

@@ -293,6 +293,86 @@ class TestEvaluate:
         assert prob3.nadir.tolist() == [1.0, 100.0, 10000.0]
 
 
+def reference_sigma(x_pos, m):
+    """The earlier ``sigma``: each group mean through ``ndarray.mean``."""
+    out = np.empty((x_pos.shape[0], m - 1))
+    for i in range(m - 1):
+        out[:, i] = x_pos[:, i::(m - 1)].mean(axis=1)
+    return out
+
+
+def reference_remap(sig, c, gamma):
+    """The earlier ``remap``, which rebuilt its coefficients on every call."""
+    g = float(gamma)
+    coef_lo = 2.0**g * np.power(c, 1.0 - g)
+    coef_hi = 2.0**g * np.power(1.0 - c, 1.0 - g)
+    lo = coef_lo * np.abs(sig - c / 2.0) ** g
+    hi = 1.0 - coef_hi * np.abs(sig - (1.0 + c) / 2.0) ** g
+    return np.where(sig < c, lo, np.where(sig > c, hi, sig))
+
+
+def reference_evaluate(x, params):
+    """The earlier per-call composition of ``evaluate``: every constant is
+    rebuilt, every row gets its own anchor and weight, every mean goes
+    through ``ndarray.mean``."""
+    x_pos, x_dist = x[:, : params.s], x[:, params.s:]
+    sig = reference_sigma(x_pos, params.m)
+    y = gen.simplex_map(reference_remap(sig, gen.chat(params.c_pos), params.gamma))
+    h = np.power(y, np.asarray(params.p, dtype=float))
+    if params.inverted:
+        h = 1.0 - h
+    ell = gen._ell_of(y, params)
+    powered = np.abs(x_dist - gen._distance_anchor(ell, params)) ** params.a3
+    weight = params.a1 * gen.scale_b(ell, params.a4, params.m) + 1.0
+    g = np.empty((x.shape[0], params.m))
+    for i in range(params.m):
+        g[:, i] = weight * powered[:, i::params.m].mean(axis=1)
+    return ((h + g @ np.asarray(params.theta, dtype=float).T)
+            * np.asarray(params.w, dtype=float))
+
+
+class TestFoldedEvaluate:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 211])
+    def test_byte_equal_to_the_per_call_composition(self, name, k):
+        params = gen.preset(name)
+        b = params.bounds
+        x = b.sample(k, make_rng(k))
+        if k > 2:
+            # both bound corners, and group means on the remap centre
+            x[0], x[1] = b.lower, b.upper
+            x[2, : params.s] = center_position_vars(params)[0]
+        assert gen.evaluate(x, params).tobytes() == reference_evaluate(x, params).tobytes()
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11", "mop13"])
+    def test_sampled_optima_equal_the_per_row_anchor(self, name):
+        # t = 0 bitwise: the sampler takes the anchor from the same frame
+        prob = gen.get_problem(name)
+        ps = prob.sample_pareto_set(64, make_rng(3))
+        x_dist = ps[:, prob.params.s:]
+        ell = gen._ell_of(gen.position_value(ps[:, : prob.params.s], prob.params)[1],
+                          prob.params)
+        assert x_dist.tobytes() == gen._distance_anchor(ell, prob.params).tobytes()
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11", "mop13"])
+    def test_frames_built_once_and_read_only(self, name):
+        params = gen.preset(name)
+        frames = ["bounds_tolerance", "remap_frame", "position_groups",
+                  "distance_groups"]
+        if params.c_dis is None:
+            frames.append("flat_distance")
+        for attr in frames:
+            frame = getattr(params, attr)
+            assert getattr(params, attr) is frame
+            for array in (a for a in frame if isinstance(a, np.ndarray)):
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+        lower, upper = params.bounds_tolerance
+        assert lower.tolist() == (params.bounds.lower - 1e-9).tolist()
+        assert upper.tolist() == (params.bounds.upper + 1e-9).tolist()
+        assert isinstance(params.remap_frame[-1], float)
+
+
 class TestSamplers:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_optimal_set_has_zero_distance_parts(self, name):

@@ -588,6 +588,64 @@ class TestLevelUpdate:
         assert np.array_equal(host.pop_f, np.array([c, d, b]))
 
 
+def stub_smsemoa(initial):
+    """An SMS-EMOA host whose initial population scores ``initial``."""
+    problem = SimpleNamespace(m=initial.shape[1], n=1,
+                              bounds=BoxBounds(np.zeros(1), np.ones(1)))
+    budget = EvaluationBudget(len(initial), _eval=lambda xs: initial[:len(xs)])
+    return hosts.SmsEmoaHost(problem, HostConfig(kind="smsemoa",
+                                                 population_size=len(initial)),
+                             budget, make_rng(0))
+
+
+def whole_pool_range(host):
+    """Make the next insert normalize by the range of the whole pool, as the
+    earlier ``_insert`` did on every call."""
+    insert = host._insert
+
+    def fresh_range_insert(x, f):
+        host.lo, host.hi = host.pop_f.min(axis=0), host.pop_f.max(axis=0)
+        insert(x, f)
+    host._insert = fresh_range_insert
+    return host
+
+
+class TestCarriedRange:
+    def test_dropped_extreme_recomputes_the_range(self):
+        # the newcomer (0, 1) leaves (0.5, 2), the largest f2, alone on the
+        # last level; over the survivors' range (1.5, 1) the next newcomer
+        # (2, 0.5) makes (0.75, 1) the least contributor, over the stale
+        # range (1.5, 2) it would be (1.5, 0.75)
+        initial = np.array([[0.5, 2.0], [1.5, 0.75], [1.25, 0.75], [0.75, 1.0]])
+        carried, oracle = stub_smsemoa(initial), whole_pool_range(stub_smsemoa(initial))
+        for f in ([0.0, 1.0], [2.0, 0.5]):
+            for host in (carried, oracle):
+                host._insert(np.zeros(1), np.array(f))
+            assert np.array_equal(carried.pop_f, oracle.pop_f)
+            assert carried.level.tolist() == oracle.level.tolist()
+            assert np.array_equal(carried.lo, carried.pop_f.min(axis=0))
+            assert np.array_equal(carried.hi, carried.pop_f.max(axis=0))
+        assert carried.pop_f.tolist() == [[1.5, 0.75], [1.25, 0.75],
+                                          [0.0, 1.0], [2.0, 0.5]]
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_trial_matches_the_whole_pool_range(self, name):
+        problem = get_problem(name)
+        config = HostConfig(kind="smsemoa", population_size=20)
+        runs = []
+        for wrap in (lambda host: host, whole_pool_range):
+            budget = EvaluationBudget(1_000, _eval=problem.evaluate_batch)
+            rng = make_rng(41)
+            host = wrap(make_host(problem, config, budget, rng))
+            steps = []
+            while not budget.exhausted:
+                host.step(OffspringBatch.empty(problem.n, problem.m), budget, rng)
+                steps.append((host.pop_x.tobytes(), host.pop_f.tobytes(),
+                              host.level.tolist()))
+            runs.append(steps)
+        assert runs[0] == runs[1]
+
+
 class TestHostsEndToEnd:
     @pytest.mark.parametrize("kind", ["nsga2", "moead", "smsemoa"])
     def test_iteration_contract(self, kind):
