@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import click
@@ -172,11 +173,19 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
             f"{len(failed)} of {len(records)} cell(s) failed: {'; '.join(failed)}")
 
 
+def _not_nan(ctx, param, value):
+    if math.isnan(value):  # FloatRange's comparisons all pass a NaN
+        raise click.BadParameter("nan is not in the range 0<x<1.")
+    return value
+
+
 @main.command()
 @click.argument("results_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--reference", default=None,
               help="host+estimator column compared against; default last column.")
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              default=0.05, callback=_not_nan,
+              help="Significance level of the rank-sum verdicts.")
 def report(results_dir, reference, alpha):
     """Summarize an emitted raw.csv as the comparison tables."""
     records = load_raw(Path(results_dir) / "raw.csv")
@@ -185,6 +194,10 @@ def report(results_dir, reference, alpha):
     columns = sorted({f"{r.host}+{r.estimator}" for r in records})
     if reference is None:
         reference = columns[-1]
+    elif reference not in columns:
+        raise click.BadParameter(
+            f"{reference!r} is not a column of {results_dir};"
+            f" available: {', '.join(columns)}", param_hint="'--reference'")
     rep = build_report(records, reference, alpha=alpha)
     click.echo(format_report(rep))
     out = Path(results_dir) / "report.json"

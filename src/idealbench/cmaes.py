@@ -148,6 +148,8 @@ class CmaProcedure:
         self.sigma0 = self.sigma
         self._refresh_eigen()
         self.init_eigenvalues = self._eigvals.copy()
+        # TolXUp's per-axis limit, sorted as the eigenvalues are
+        self._tolxup_limit = 1e4 * self.sigma0 * np.sqrt(self.init_eigenvalues)
 
         maxhist = 10 + math.ceil(30 * self.n / self.lambda_default) + 5
         self.best_history: deque = deque(maxlen=maxhist)
@@ -203,16 +205,16 @@ class CmaProcedure:
         capping the widest axes, which at that point carry (near-)neutral
         spread.
         """
-        if not np.all(np.isfinite(self.cov)):
-            diag = np.diag(self.cov).copy()
+        if not np.isfinite(self.cov).all():
+            diag = self.cov.diagonal().copy()
             diag[~np.isfinite(diag)] = 1.0
             self.cov = np.diag(np.maximum(diag, 1e-300))
         self.cov = 0.5 * (self.cov + self.cov.T)
         eigvals, eigvecs = np.linalg.eigh(self.cov)
         if not _well_conditioned(eigvals):
-            d = np.sqrt(np.maximum(np.diag(self.cov), self._resolution(eigvals)))
+            d = np.sqrt(np.maximum(self.cov.diagonal(), self._resolution(eigvals)))
             self.scales = self.scales * d
-            self.cov = self.cov / np.outer(d, d)
+            self.cov = self.cov / (d[:, None] * d)
             self.cov = 0.5 * (self.cov + self.cov.T)
             eigvals, eigvecs = np.linalg.eigh(self.cov)
             if not _well_conditioned(eigvals):
@@ -236,13 +238,19 @@ class CmaProcedure:
     @property
     def axis_sd(self) -> np.ndarray:
         """Per-coordinate standard deviation of the search distribution."""
-        return self.sigma * self.scales * np.sqrt(np.diag(self.cov))
+        return self.sigma * self.scales * np.sqrt(self.cov.diagonal())
 
     @property
     def axis_lengths(self) -> np.ndarray:
         """Lengths of the sampling axes, the columns of sigma S C^{1/2}."""
         axes = self.scales[:, None] * self._eigvecs
         return self.sigma * self._sqrt_eigvals * np.linalg.norm(axes, axis=0)
+
+    @property
+    def takes_injections(self) -> bool:
+        """Whether `tell` admits injected candidates: only while the
+        population size sits at its lower bound."""
+        return self.lam <= self.lambda_default
 
     # -- ask / tell -------------------------------------------------------
 
@@ -273,24 +281,21 @@ class CmaProcedure:
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         fitness = np.asarray(fitness, dtype=float)
-        injected_flag = np.zeros(xs.shape[0], dtype=bool)
-        if (
-            injected_xs is not None
-            and len(injected_xs) > 0
-            and self.lam <= self.lambda_default
-        ):
+        injected_flag = None  # per candidate, once something is injected
+        if injected_xs is not None and len(injected_xs) > 0 and self.takes_injections:
             injected_xs = np.atleast_2d(np.asarray(injected_xs, dtype=float))
             injected_fitness = np.asarray(injected_fitness, dtype=float)
+            injected_flag = np.concatenate([np.zeros(xs.shape[0], dtype=bool),
+                                            np.ones(injected_xs.shape[0], dtype=bool)])
             xs = np.vstack([xs, injected_xs])
             fitness = np.concatenate([fitness, injected_fitness])
-            injected_flag = np.concatenate(
-                [injected_flag, np.ones(injected_xs.shape[0], dtype=bool)]
-            )
 
         finite = np.isfinite(fitness)
         if not finite.all():
             warnings.warn("discarding candidates with non-finite fitness")
-            xs, fitness, injected_flag = xs[finite], fitness[finite], injected_flag[finite]
+            xs, fitness = xs[finite], fitness[finite]
+            if injected_flag is not None:
+                injected_flag = injected_flag[finite]
         if xs.shape[0] == 0:
             return self.check_stop()
 
@@ -306,17 +311,17 @@ class CmaProcedure:
 
         old_mean = self.mean
         old_sigma = self.sigma
-        steps = (xs[order] - old_mean) / old_sigma
+        selected = xs[order]
+        steps = (selected - old_mean) / old_sigma
         white_sq = np.sum(
             (((steps / self.scales) @ self._eigvecs) / self._sqrt_eigvals) ** 2,
             axis=1,
         )
-        cap = INJECTION_CLIP * math.sqrt(self.n)
-        for i in range(lam_sel):
-            if injected_flag[order[i]] and white_sq[i] > cap * cap:
-                factor = cap / math.sqrt(white_sq[i])
-                steps[i] *= factor
-                white_sq[i] = cap * cap
+        if injected_flag is not None:
+            cap = INJECTION_CLIP * math.sqrt(self.n)
+            clip = injected_flag[order] & (white_sq > cap * cap)
+            steps[clip] *= (cap / np.sqrt(white_sq[clip]))[:, None]
+            white_sq[clip] = cap * cap
 
         step_w = w @ steps[:mu]
         self.mean = old_mean + old_sigma * step_w
@@ -325,7 +330,7 @@ class CmaProcedure:
         self.p_sigma = (1.0 - c_sigma) * self.p_sigma + math.sqrt(
             c_sigma * (2.0 - c_sigma) * mu_eff
         ) * csn
-        ps_norm = float(np.linalg.norm(self.p_sigma))
+        ps_norm = math.sqrt(self.p_sigma @ self.p_sigma)
         denom = math.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (self.generation + 1)))
         h_sigma = ps_norm / denom < (1.4 + 2.0 / (self.n + 1.0)) * chi_n
         self.p_c = (1.0 - c_c) * self.p_c + (
@@ -344,7 +349,7 @@ class CmaProcedure:
         old_cov = self.cov
         self.cov = (
             (1.0 + c_1 * delta_h - c_1 - c_mu * float(w_all.sum())) * old_cov
-            + c_1 * np.outer(p_c, p_c)
+            + c_1 * (p_c[:, None] * p_c)
             + c_mu * rank_mu
         )
         self.sigma = old_sigma * math.exp(
@@ -352,14 +357,14 @@ class CmaProcedure:
         )
 
         self.best_history.append(float(fitness[order[0]]))
-        self._last_fitness = fitness[order].copy()
+        self._last_fitness = fitness[order]
         self.generation += 1
 
         if self.psa_enabled:
             self._adapt_lambda(old_mean, old_sigma, params)
         clamped = np.zeros(used.shape, dtype=bool)
         if self.bounds is not None:
-            selected = xs[order][: len(w_all)]
+            selected = selected[: len(w_all)]
             clamped = (selected == self.bounds.lower) | (selected == self.bounds.upper)
         self._accelerate_diagonal(used, clamped, w_circle, c_mu, old_cov)
         self._refresh_eigen()
@@ -380,8 +385,8 @@ class CmaProcedure:
         ``clamped`` entry sits on the box, where sampling cut it, and says
         nothing about its coordinate's scale.
         """
-        sd = np.sqrt(np.diag(cov))
-        corr = np.linalg.eigvalsh(cov / np.outer(sd, sd))
+        sd = np.sqrt(cov.diagonal())
+        corr = np.linalg.eigvalsh(cov / (sd[:, None] * sd))
         damping = max(1.0, math.sqrt(corr[-1] / max(corr[0], 1e-300)) - 1.0)
         rate = min(1.0, c_mu * (self.n + 2) / 3.0)
         excess = np.where(clamped, 0.0, (steps / sd) ** 2 - 1.0)
@@ -406,7 +411,7 @@ class CmaProcedure:
         # E|C^{-1/2} dm / sigma|^2 = n / mu_eff under neutral selection
         shift = (self.mean - old_mean) / self.scales
         u = math.sqrt(mu_eff / n) * (inv_sqrt @ shift) / old_sigma
-        u_norm = float(np.linalg.norm(u))
+        u_norm = math.sqrt(u @ u)
         if not math.isfinite(u_norm):
             u = np.zeros(n)
         elif u_norm > 10.0:
@@ -419,7 +424,7 @@ class CmaProcedure:
         norm_sq = float(self._psa_path @ self._psa_path)
         exponent = beta * (self._psa_warmup - min(norm_sq, 100.0) / PSA_ALPHA)
         new_lam = int(round(self.lam * math.exp(exponent)))
-        self.lam = int(np.clip(new_lam, self.lambda_default, 8 * self.lambda_default))
+        self.lam = min(max(new_lam, self.lambda_default), 8 * self.lambda_default)
 
     # -- stopping ---------------------------------------------------------
 
@@ -433,11 +438,11 @@ class CmaProcedure:
         d, b = self._sqrt_eigvals, self.scales[:, None] * self._eigvecs
 
         # column i is axis i's step, associated as (0.1 * sigma * d[i]) * b[:, i]
-        if np.all(mean[:, None] == mean[:, None] + (0.1 * sigma * d) * b):
+        if (mean[:, None] == mean[:, None] + (0.1 * sigma * d) * b).all():
             triggered.add("NoEffectAxis")
 
         diag_sd = self.axis_sd
-        if np.all(mean == mean + 0.2 * diag_sd):
+        if (mean == mean + 0.2 * diag_sd).all():
             triggered.add("NoEffectCoord")
 
         hist_len = 10 + math.ceil(30 * self.n / self.lam)
@@ -445,14 +450,14 @@ class CmaProcedure:
             window = list(self.best_history)[-hist_len:]
             vals = np.concatenate([window, self._last_fitness])
             flat = float(vals.max() - vals.min()) < 1e-3
-            tol_x = np.all(diag_sd < 1e-6 * self.sigma0) and np.all(
-                sigma * np.abs(self.p_c) < 1e-6 * self.sigma0
-            )
-            if flat and tol_x:
+            if (
+                flat
+                and (diag_sd < 1e-6 * self.sigma0).all()
+                and (sigma * np.abs(self.p_c) < 1e-6 * self.sigma0).all()
+            ):
                 triggered.add("TolFunTolX")
 
-        axis_len = np.sort(self.axis_lengths)
-        if np.any(axis_len > 1e4 * self.sigma0 * np.sqrt(self.init_eigenvalues)):
+        if (np.sort(self.axis_lengths) > self._tolxup_limit).any():
             triggered.add("TolXUp")
 
         return frozenset(triggered)

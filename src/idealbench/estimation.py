@@ -159,28 +159,33 @@ class IdealEstimation:
 
         Normalization bounds are refreshed from the surviving population;
         each live subproblem search is told its own samples (with the other
-        searches' and the host's offspring as injection candidates), then
+        searches' and the host's offspring as injection candidates, gathered
+        and scored only while its population size lets it take them), then
         restarted from the population on an exceptional stop or retired on
         a conventional one.
         """
         self._refresh_normalization(pop_fs)
-        all_xs = np.vstack([o1.xs, o2.xs])
-        all_fs = np.vstack([o1.fs, o2.fs])
-        all_owner = np.concatenate([o1.owner, o2.owner])
+        # `produce_offspring` lays each search's rows out in one run, in
+        # search order; the host's rows (owner -1) are all in o2
+        ends = np.searchsorted(o1.owner, np.arange(len(self.procedures) + 1)).tolist()
         for i, proc in enumerate(self.procedures):
             if not proc.live:
                 continue
-            own_mask = all_owner == i
-            own_count = int(own_mask.sum())
-            if own_count < proc.lam:
+            lo, hi = ends[i], ends[i + 1]
+            if hi - lo < proc.lam:
                 continue  # budget cut this subproblem's batch; run is ending
-            own_xs, own_fs = all_xs[own_mask], all_fs[own_mask]
-            other_xs, other_fs = all_xs[~own_mask], all_fs[~own_mask]
+            injected_xs = injected_fitness = None
+            if proc.takes_injections:
+                other_xs = np.vstack([o1.xs[:lo], o1.xs[hi:], o2.xs])
+                if other_xs.size:
+                    injected_xs = other_xs
+                    injected_fitness = self._scores(
+                        np.vstack([o1.fs[:lo], o1.fs[hi:], o2.fs]), i)
             fired = proc.tell(
-                own_xs,
-                self._scores(own_fs, i),
-                injected_xs=other_xs if other_xs.size else None,
-                injected_fitness=self._scores(other_fs, i) if other_xs.size else None,
+                o1.xs[lo:hi],
+                self._scores(o1.fs[lo:hi], i),
+                injected_xs=injected_xs,
+                injected_fitness=injected_fitness,
             )
             if fired & EXCEPTIONAL:
                 proc.warm_restart(pop_xs, self._scores(pop_fs, i))

@@ -303,11 +303,16 @@ def scalarized_fitness(
     shifted = (objs - z_ref) / scale
     w = np.maximum(np.atleast_2d(weights), WEIGHT_FLOOR)
     if kind == "tchebycheff":
-        # one (weights x rows) product per objective; max over a short last
-        # axis is several times slower than pairwise maxima
-        out = w[:, :1] * shifted[:, 0]
+        # one (weights x rows) product per objective, folded into a running
+        # maximum in place: max over a short last axis is several times
+        # slower than pairwise maxima, and a fresh product per objective
+        # faults its pages in anew
+        cols = np.ascontiguousarray(shifted.T)
+        out = np.multiply(w[:, :1], cols[0])
+        term = np.empty_like(out)
         for j in range(1, w.shape[1]):
-            out = np.maximum(out, w[:, j:j + 1] * shifted[:, j])
+            np.multiply(w[:, j:j + 1], cols[j], out=term)
+            np.maximum(out, term, out=out)
         return out
     if kind == "weighted-sum":
         return w @ shifted.T

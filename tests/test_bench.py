@@ -439,6 +439,45 @@ class TestCli:
         assert "hypervolume" in report.output
         assert (res / "report.json").exists()
 
+    @pytest.fixture
+    def emitted(self, tmp_path):
+        # two overlapping 5-seed columns: comparable ('=') at alpha 0.05
+        def record(estimator, seed, e):
+            return RunRecord(problem="mop1", host="moead", estimator=estimator,
+                             seed=seed, fe_max=1000, e_value=e, hv_value=0.5,
+                             eie_fe_fraction=0.0, trajectory=[(1000, e, 0.5)])
+        records = [record("eie", s, 0.1 * (s + 1)) for s in range(5)]
+        records += [record("running-min", s, 0.1 * (s + 1) + 0.05) for s in range(5)]
+        emit(records, tmp_path)
+        return tmp_path
+
+    def test_report_unknown_reference_is_a_usage_error(self, emitted):
+        result = CliRunner().invoke(cli_main, ["report", str(emitted),
+                                               "--reference", "nope"])
+        assert result.exit_code == 2, result.output
+        assert "'nope' is not a column" in result.output
+        assert "available: moead+eie, moead+running-min" in result.output
+        assert not (emitted / "report.json").exists()
+
+    @pytest.mark.parametrize("alpha", ["7", "1", "0", "-0.1", "nan", "inf"])
+    def test_report_alpha_outside_unit_interval_is_a_usage_error(self, emitted,
+                                                                 alpha):
+        result = CliRunner().invoke(cli_main, ["report", str(emitted),
+                                               "--alpha", alpha])
+        assert result.exit_code == 2, result.output
+        assert "--alpha" in result.output and "0<x<1" in result.output
+        assert not (emitted / "report.json").exists()
+
+    def test_report_alpha_sets_the_verdicts(self, emitted):
+        verdicts = []
+        for alpha in ("0.05", "0.999"):
+            result = CliRunner().invoke(cli_main, ["report", str(emitted),
+                                                   "--alpha", alpha])
+            assert result.exit_code == 0, result.output
+            rep = json.loads((emitted / "report.json").read_text())
+            verdicts.append(rep["problems"]["mop1"]["e"]["moead+eie"]["verdict"])
+        assert verdicts == ["=", "+"]
+
     def test_run_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 import warnings
 
@@ -463,3 +464,91 @@ class TestDiagonalAcceleration:
         proc.tell(xs, -xs[:, 0] + 1e-3 * np.arange(6))
         assert proc.scales[0] == 1.0
         assert proc.scales[1] != 1.0
+
+
+# sha256 over every generation's state in `scripted_tells`: a rewrite of
+# `tell` or `check_stop` has to keep every byte of it
+TELL_SCRIPT_SHA256 = "c71daf91c8ccc004b0a3c16466e21380b1de5910ce5d975cdcd0b9336bf308a6"
+
+
+def _tell_state(proc, fired) -> bytes:
+    arrays = (proc.mean, proc.cov, proc.scales, np.array([proc.sigma]),
+              np.array([proc.lam], dtype=np.int64), proc.p_sigma, proc.p_c)
+    return (b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+            + ",".join(sorted(fired)).encode() + b";")
+
+
+def scripted_tells():
+    """A fixed `tell` sequence through every branch the update has: clipped
+    and unclipped injections, lambda at and above its default, non-finite
+    own and injected fitness, one to three candidates, a flat window with
+    and without collapsed spread, and TolXUp before and after a restart."""
+    rng = make_rng(31)
+    n = 7
+    bounds = BoxBounds(np.full(n, -5.0), np.full(n, 5.0))
+    pts = rng.uniform(-5, 5, (100, n))
+    proc = CmaProcedure.warm_start(pts, sphere(pts), bounds=bounds)
+    states, fired_log, lams, flags = [], [], [], []
+
+    def tell(xs, fs, inj=None, inj_fs=None):
+        lams.append((proc.lam, proc.lambda_default))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            fired = proc.tell(xs, fs, injected_xs=inj, injected_fitness=inj_fs)
+        states.append(_tell_state(proc, fired))
+        fired_log.append(fired)
+        return fired
+
+    def injections(count, far):
+        inj = proc.mean + (50.0 if far else 0.5) * rng.standard_normal((count, n))
+        return inj, sphere(inj) - (1e3 if far else 0.0)
+
+    for gen in range(40):
+        if gen % 4 == 0:
+            proc.lam = proc.lambda_default  # the injection gate opens
+        elif gen % 4 == 1:
+            proc.lam = 2 * proc.lambda_default  # and stays shut
+        xs = proc.ask(rng)
+        fs = sphere(xs)
+        if gen % 5 == 2:
+            fs[1] = np.nan
+        inj, inj_fs = injections(3, far=gen % 2 == 0)
+        if gen % 6 == 3:
+            inj_fs[0] = np.inf
+        tell(xs, fs, inj, inj_fs)
+    for rows in (1, 2, 3):
+        xs = proc.ask(rng)[:rows]
+        tell(xs, sphere(xs), *injections(2, far=True))
+    for _ in range(50):  # a flat window whose spread stays macroscopic
+        xs = proc.ask(rng)
+        tell(xs, np.zeros(len(xs)))
+    proc.sigma = 1e-12
+    proc.cov = np.eye(n) * 1e-12
+    proc.p_c = np.zeros(n)
+    proc._refresh_eigen()
+    xs = proc.ask(rng)
+    flags.append("TolFunTolX" in tell(xs, np.zeros(len(xs))))
+    proc.warm_restart(pts, sphere(pts))
+    proc.sigma = proc.sigma0 * 1e5
+    xs = proc.ask(rng)
+    flags.append("TolXUp" in tell(xs, sphere(xs)))
+    # a narrow restart: TolXUp must measure against the new eigenvalues
+    proc.warm_restart(0.01 * pts, sphere(pts))
+    for _ in range(3):
+        xs = proc.ask(rng)
+        tell(xs, sphere(xs), *injections(2, far=True))
+    proc.sigma = 2e4
+    xs = proc.ask(rng)
+    flags.append("TolXUp" in tell(xs, sphere(xs)))
+    return states, fired_log, lams, flags
+
+
+def test_scripted_tells_are_pinned():
+    states, fired_log, lams, flags = scripted_tells()
+    assert flags == [True, True, True]
+    assert any(lam == default for lam, default in lams)
+    assert any(lam > default for lam, default in lams)
+    assert sum("TolFunTolX" in fired for fired in fired_log) == 1
+    assert sum("TolXUp" in fired for fired in fired_log) == 2
+    digest = hashlib.sha256(b"".join(states)).hexdigest()
+    assert digest == TELL_SCRIPT_SHA256

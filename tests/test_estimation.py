@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from idealbench.cmaes import CmaProcedure
+
 from idealbench.core import (EvaluationBudget, OffspringBatch,
                              fast_non_dominated_sort, make_rng)
 from idealbench.estimation import (IdealEstimation, alpha_from_epsilon,
@@ -205,3 +207,59 @@ class TestComponentLifecycle:
     def test_tolerance_shape_validation(self):
         with pytest.raises(ValueError):
             IdealEstimation(get_problem("mop1"), epsilons=np.array([0.05]* 3))
+
+
+class TestInjectionHandOff:
+    """What `update` hands each search's `tell`: its own rows from the
+    estimation batch and, only while the search can take them, every other
+    row scored on its subproblem."""
+
+    def run_update(self, monkeypatch, lam_factor):
+        problem, comp, xs, fs, rng = make_component("mop11", seed=3)
+        for proc in comp.procedures:
+            proc.lam = lam_factor * proc.lambda_default
+        budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
+        o1 = comp.produce_offspring(budget, rng)
+        host_xs = problem.bounds.sample(25, rng)
+        o2 = OffspringBatch(host_xs, problem.evaluate_batch(host_xs),
+                            np.full(25, -1))
+        told, scored = [], []
+        tell, scores = CmaProcedure.tell, comp._scores
+
+        def spy_tell(proc, own_xs, own_fitness, injected_xs=None,
+                     injected_fitness=None):
+            told.append((comp.procedures.index(proc), own_xs, own_fitness,
+                         injected_xs, injected_fitness))
+            return tell(proc, own_xs, own_fitness, injected_xs, injected_fitness)
+
+        def spy_scores(batch_fs, index):
+            scored.append((index, np.atleast_2d(batch_fs).shape[0]))
+            return scores(batch_fs, index)
+
+        monkeypatch.setattr(CmaProcedure, "tell", spy_tell)
+        monkeypatch.setattr(comp, "_scores", spy_scores)
+        comp.update(fs, o1, o2, xs)
+        return comp, o1, o2, told, scored
+
+    def test_above_default_lambda_passes_no_injection(self, monkeypatch):
+        comp, o1, _, told, scored = self.run_update(monkeypatch, 2)
+        assert [call[0] for call in told] == [0, 1, 2]
+        for i, own_xs, own_fitness, injected_xs, injected_fitness in told:
+            own = o1.owner == i
+            assert injected_xs is None and injected_fitness is None
+            assert own_xs.tobytes() == o1.xs[own].tobytes()
+            want = ews_fitness(o1.fs[own], comp.weights[i], comp.z_min, comp.z_max)
+            assert np.asarray(own_fitness).tobytes() == want.tobytes()
+        assert scored == [(i, int((o1.owner == i).sum())) for i in range(3)]
+
+    def test_default_lambda_passes_others_in_batch_order(self, monkeypatch):
+        comp, o1, o2, told, _ = self.run_update(monkeypatch, 1)
+        assert [call[0] for call in told] == [0, 1, 2]
+        for i, own_xs, own_fitness, injected_xs, injected_fitness in told:
+            own = o1.owner == i
+            assert own_xs.tobytes() == o1.xs[own].tobytes()
+            other_xs = np.vstack([o1.xs[~own], o2.xs])
+            other_fs = np.vstack([o1.fs[~own], o2.fs])
+            assert injected_xs.tobytes() == other_xs.tobytes()
+            want = ews_fitness(other_fs, comp.weights[i], comp.z_min, comp.z_max)
+            assert np.asarray(injected_fitness).tobytes() == want.tobytes()

@@ -347,6 +347,18 @@ class TestDominanceSorting:
         assert len(nsga2_select(objs, 23)) == 23
 
 
+def reference_tchebycheff(objs, weights, z_ref, scale):
+    """`scalarized_fitness`'s earlier tchebycheff branch, kept verbatim as
+    the oracle: a fresh (weights x rows) array per objective."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    shifted = (objs - z_ref) / scale
+    w = np.maximum(np.atleast_2d(weights), hosts.WEIGHT_FLOOR)
+    out = w[:, :1] * shifted[:, 0]
+    for j in range(1, w.shape[1]):
+        out = np.maximum(out, w[:, j:j + 1] * shifted[:, j])
+    return out
+
+
 class TestWeightsAndScalarization:
     def test_two_objective_lattice(self):
         w = simplex_lattice_weights(2, 100)
@@ -383,6 +395,25 @@ class TestWeightsAndScalarization:
         oracle = np.max(np.maximum(weights, 1e-6)[:, None, :] * objs[None, :, :],
                         axis=2)
         assert np.array_equal(fit, oracle)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_tchebycheff_bytes_match_per_objective_loop(self, m, layout):
+        rng = make_rng(12 + m)
+        k, rows = (100, 300) if m == 2 else (210, 420)
+        weights = simplex_lattice_weights(m, k)  # holds zeros, floored
+        wide = rng.normal(size=(2 * rows, 2 * m)) * 3.0
+        objs = {"contiguous": np.ascontiguousarray(wide[:rows, :m]),
+                "strided": wide[::2, ::2],
+                "fortran": np.asfortranarray(wide[:rows, :m])}[layout]
+        objs[5] = np.nan  # NaN and inf rows propagate as before
+        objs[7, 0] = np.inf
+        assert objs.flags.c_contiguous == (layout == "contiguous")
+        z_ref, scale = rng.normal(size=m), rng.random(m) + 0.1
+        got = scalarized_fitness(objs, weights, z_ref, scale)
+        want = reference_tchebycheff(objs, weights, z_ref, scale)
+        assert got.shape == want.shape == (k, rows)
+        assert got.tobytes() == want.tobytes()
 
     def test_global_replacement_matches_sequential_rule(self):
         rng = make_rng(11)
