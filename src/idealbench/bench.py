@@ -159,9 +159,22 @@ def worker_count(requested: int | None = None) -> int:
     return requested
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as an int.  A float must have no fractional part; a bool,
+    or anything ``int`` cannot read, is a ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    try:
+        return int(value)  # a string int cannot read raises its own ValueError
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, not {value!r}") from None
+
+
 def check_seeds(seeds) -> list:
-    """The seeds as ints; they must be non-empty, distinct and non-negative."""
-    seeds = [int(s) for s in seeds]
+    """The seeds as ints; they must be whole numbers, non-empty, distinct
+    and non-negative."""
+    seeds = [whole_number(s, "a seed") for s in seeds]
     if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
         raise ValueError(f"seeds must be non-empty, distinct and non-negative: {seeds}")
     return seeds
@@ -175,7 +188,15 @@ def run_suite(
     """Run every (config, seed) cell, in parallel across processes when
     allowed, returning one record per cell with configs outer and seeds
     inner.  A failed cell is recorded as None in-place and does not stop
-    the suite."""
+    the suite.
+
+    On more than one worker the longest cells are submitted first, so that
+    none of them starts last: ``smsemoa`` (one evaluation per selection)
+    before the generational hosts, then 3-objective before 2-objective
+    instances, and otherwise in record order (the sort key is
+    ``(host != "smsemoa", -m)``).  One worker runs the cells in record
+    order.
+    """
     seeds = check_seeds(seeds)
     jobs = [(cfg, seed) for cfg in configs for seed in seeds]
     workers = worker_count(parallelism)
@@ -187,11 +208,14 @@ def run_suite(
             except Exception as exc:  # noqa: BLE001 - suite keeps going
                 _report_failure(cfg, seed, exc)
     else:
+        m = {cfg.problem: get_problem(cfg.problem).m for cfg in configs}
+        longest_first = sorted(range(len(jobs)), key=lambda i: (
+            jobs[i][0].host.kind != "smsemoa", -m[jobs[i][0].problem]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_trial, cfg, seed) for cfg, seed in jobs]
-            for i, fut in enumerate(futures):
+            futures = {i: pool.submit(run_trial, *jobs[i]) for i in longest_first}
+            for i in range(len(jobs)):
                 try:
-                    results[i] = fut.result()
+                    results[i] = futures[i].result()
                 except Exception as exc:  # noqa: BLE001
                     _report_failure(*jobs[i], exc)
     return results

@@ -14,7 +14,8 @@ from click.core import ParameterSource
 
 from .bench import (WORKERS_ENV, RunConfig, build_report, cell_name,
                     check_seeds, default_fe_max, default_population_size, emit,
-                    format_report, load_raw, run_suite, worker_count)
+                    format_report, load_raw, run_suite, whole_number,
+                    worker_count)
 from .core import make_rng
 from .generator import (get_problem, preset_names, sample_pareto_front,
                         sample_pareto_set)
@@ -99,7 +100,14 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
     """Run (problem x host x estimator x seed) trials and emit CSVs."""
     file_cfg = {}
     if config_path:
-        file_cfg = json.loads(Path(config_path).read_text())
+        try:
+            file_cfg = json.loads(Path(config_path).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise click.UsageError(f"{config_path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise click.UsageError(
+                f"{config_path} must hold a JSON object of settings,"
+                f" not {type(file_cfg).__name__}")
         unknown = sorted(set(file_cfg) - CONFIG_KEYS)
         if unknown:
             raise click.UsageError(
@@ -129,9 +137,10 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
 
     configs = []
     try:
+        file_seeds = file_cfg.get("seeds", range(10))
         seed_list = check_seeds(
             range(30) if paper_protocol else _split(seeds) if seeds
-            else np.atleast_1d(file_cfg.get("seeds", range(10))))
+            else file_seeds if isinstance(file_seeds, (list, range)) else [file_seeds])
         for prob_name in problems:
             prob = get_problem(prob_name)
             pop = pick(pop_size, "pop_size", default_population_size(prob.m))
@@ -141,7 +150,7 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
             for host_kind in hosts:
                 host_cfg = HostConfig(
                     kind=host_kind,
-                    population_size=int(pop),
+                    population_size=whole_number(pop, "pop_size"),
                     scalarization=pick(scalarization, "scalarization", "tchebycheff"),
                 )
                 for est_kind in estimators:
@@ -149,8 +158,9 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
                         problem=prob_name,
                         host=host_cfg,
                         estimator=EstimatorConfig(kind=est_kind),
-                        fe_max=int(fe),
-                        snapshot_every=int(pick(snapshot_every, "snapshot_every", 1000)),
+                        fe_max=whole_number(fe, "fe_max"),
+                        snapshot_every=whole_number(
+                            pick(snapshot_every, "snapshot_every", 1000), "snapshot_every"),
                         epsilon=float(pick(epsilon, "epsilon", 0.05)),
                     ))
         if not configs:

@@ -74,24 +74,33 @@ def polynomial_mutation(
     prob: float | None = None,
 ) -> np.ndarray:
     """Bounded polynomial mutation applied componentwise with probability
-    ``prob`` (default 1/n)."""
+    ``prob`` (default 1/n).
+
+    Two (k, n) uniform draws decide which entries mutate and by how much;
+    the step is computed only at the entries that mutate (about k of the
+    k * n), as contiguous 1-D arrays.  Its powers stay NumPy's: Python's
+    scalar ``**`` can differ from them in the last place.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     k, n = xs.shape
     if prob is None:
         prob = 1.0 / n
-    lo, hi = bounds.lower, bounds.upper
-    span = hi - lo
     apply = rng.random((k, n)) < prob
     u = rng.random((k, n))
-    d1 = (xs - lo) / span
-    d2 = (hi - xs) / span
+    rows, cols = np.nonzero(apply)
+    x, u = xs[rows, cols], u[rows, cols]
+    lo, hi = bounds.lower[cols], bounds.upper[cols]
+    span = hi - lo
+    d1 = (x - lo) / span
+    d2 = (hi - x) / span
     exp = 1.0 / (eta + 1.0)
     low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
     high_side = 1.0 - (
         2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
     ) ** exp
     delta = np.where(u < 0.5, low_side, high_side)
-    out = np.where(apply, xs + delta * span, xs)
+    out = xs.copy()
+    out[rows, cols] = x + delta * span
     return clamp_to_bounds(out, bounds)
 
 
@@ -126,15 +135,22 @@ def _distinct_triplets(
     """Three distinct indices per row drawn from each row's pool of
     distinct indices, none equal to the row's ``avoid`` entry.
 
-    Each draw is the value of a scalar ``rng.integers(0, len(pool))``,
-    replayed from the raw 32-bit words that call consumes.  NumPy bounds a
-    word x by Lemire's multiply-and-reject ("Fast random integer generation
-    in an interval", ACM TOMACS 29(1), 2019): with m = x * k, it rejects x
-    while the low half of m is below (2**32 - k) % k and returns m >> 32.
-    Every value costs at least one word and every row at least three
-    values, so the words still owed are drawn in one block, and no word is
-    drawn that the scalar calls would not have consumed.  The replay holds
-    for pools of up to 2**32 members, where NumPy takes 32-bit words.
+    Each draw is the value of a scalar ``rng.integers(0, len(pool))``, and
+    the generator ends in the state those scalar calls leave.  Every row
+    takes at least three values, so the values still owed are a lower
+    bound on the draws to come, and each block draws only that many.
+
+    When every pool has the same size k (NSGA-II's and SMS-EMOA's full
+    pools), each block is ``rng.integers(0, k, size=owed)``, whose values
+    are the scalar calls' values.  Pools of mixed sizes (MOEA/D's
+    neighbourhoods beside full pools) replay the raw 32-bit words those
+    calls consume instead, since a block of values cannot span two bounds.
+    NumPy bounds a word x by Lemire's multiply-and-reject ("Fast random
+    integer generation in an interval", ACM TOMACS 29(1), 2019): with
+    m = x * k, it rejects x while the low half of m is below
+    (2**32 - k) % k and returns m >> 32.  Every value costs at least one
+    word, so the block holds the words still owed.  The replay holds for
+    pools of up to 2**32 members, where NumPy takes 32-bit words.
     """
     sizes = [len(pool) for pool in pools]
     avoid = avoid.tolist() if avoid is not None else [None] * len(pools)
@@ -142,9 +158,24 @@ def _distinct_triplets(
         # checked before any draw, so a rejected call leaves rng untouched
         if sizes[row] < 4 and sizes[row] - (avoid[row] in pool) < 3:
             raise ValueError(f"row {row}: fewer than 3 members to draw from")
-    owed = 3 * len(pools)  # the fewest words the values still to come consume
-    words = iter(())
+    owed = 3 * len(pools)  # the fewest values still to come
     out = []
+    if len(set(sizes)) == 1:
+        values = iter(())
+        for pool, base in zip(pools, avoid):
+            chosen = []
+            while len(chosen) < 3:
+                v = next(values, None)
+                if v is None:
+                    values = iter(rng.integers(0, sizes[0], size=owed).tolist())
+                    continue
+                cand = pool[v]
+                if cand != base and cand not in chosen:
+                    chosen.append(cand)
+                    owed -= 1
+            out.append(chosen)
+        return np.array(out, dtype=int)
+    words = iter(())
     for pool, k, base in zip(pools, sizes, avoid):
         threshold = (0xFFFFFFFF - (k - 1)) % k
         chosen = []
@@ -185,22 +216,52 @@ def _evaluate_offspring(children: np.ndarray,
 # -- dominance-based host --------------------------------------------------
 
 
-def crowding_distance(objs: np.ndarray) -> np.ndarray:
-    """Crowding distance within one front; boundary points get infinity."""
+def crowding_distance(objs: np.ndarray, front: np.ndarray | None = None) -> np.ndarray:
+    """Crowding distance of each row within its front, ``front`` giving
+    each row's front label (default: one front).
+
+    Per objective, a front's rows are ordered by value, ties by row index;
+    its first and last rows get infinity and each row between adds the gap
+    between its neighbours over the front's span.  An objective whose span
+    is below ``RANGE_GUARD`` adds nothing, and every row of a front of two
+    or fewer rows gets infinity.  Sorting by (front, value) puts each front
+    on the same positions for every objective, so all fronts take one sort
+    per objective.
+    """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     k, m = objs.shape
     dist = np.zeros(k)
-    if k <= 2:
-        return np.full(k, np.inf)
-    for j in range(m):
-        order = np.argsort(objs[:, j], kind="stable")
-        col = objs[order, j]
-        span = col[-1] - col[0]
-        if span < RANGE_GUARD:
-            continue
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        dist[order[1:-1]] += (col[2:] - col[:-2]) / span
+    if k == 0:
+        return dist
+    if front is None:
+        front = np.zeros(k, dtype=int)
+    # each front's first and last position in (front, value) order, the
+    # positions between them, and the front of each of those
+    labels = np.sort(front)
+    cut = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    first = np.concatenate(([0], cut))
+    last = np.concatenate((cut, [k])) - 1
+    between = np.ones(k, dtype=bool)
+    between[first] = between[last] = False
+    inner = np.flatnonzero(between)
+    inner_front = np.repeat(np.arange(first.size), np.maximum(last - first - 1, 0))
+    ends = np.concatenate((first, last))
+    # a front of two or fewer rows is all ends, and takes infinity at any span
+    guard = np.where(last - first < 2, -np.inf, RANGE_GUARD)
+    for col in objs.T:
+        order = np.lexsort((col, front))
+        col = col[order]
+        span = col[last] - col[first]
+        flat = span < guard
+        if flat.any():  # a flat front adds nothing and sets no infinity
+            live = ~flat
+            edge = np.concatenate((first[live], last[live]))
+            keep = live[inner_front]
+            at, at_front = inner[keep], inner_front[keep]
+        else:
+            edge, at, at_front = ends, inner, inner_front
+        dist[order[edge]] = np.inf
+        dist[order[at]] += (col[at + 1] - col[at - 1]) / span[at_front]
     return dist
 
 
@@ -246,10 +307,9 @@ class Nsga2Host:
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
         rank = np.empty(self.pop_f.shape[0], dtype=int)
-        crowd = np.empty(self.pop_f.shape[0])
         for level, front in enumerate(self.fronts):
             rank[front] = level
-            crowd[front] = crowding_distance(self.pop_f[front])
+        crowd = crowding_distance(self.pop_f, rank)
 
         k = self.pop_f.shape[0]
         cand = rng.integers(0, k, size=(self.pop_size, 2))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,16 @@ class TestRunTrial:
             run_suite([small_config()], seeds=[])
         with pytest.raises(ValueError, match="non-negative"):
             run_suite([small_config()], seeds=[0, -1])
+
+    @pytest.mark.parametrize("seeds", [[1.5, 2], [True, 2], [0, np.bool_(False)],
+                                       [float("nan")], [float("inf")], [None]])
+    def test_seeds_must_be_whole_numbers(self, seeds):
+        # 1.5 used to become seed 1 and True seed 1
+        with pytest.raises(ValueError, match="whole number"):
+            bench.check_seeds(seeds)
+
+    def test_whole_floats_and_digit_strings_are_seeds(self):
+        assert bench.check_seeds([1.0, np.float64(2), "3", np.int64(4)]) == [1, 2, 3, 4]
 
     def test_worker_count_must_be_positive(self, monkeypatch):
         monkeypatch.delenv(bench.WORKERS_ENV, raising=False)
@@ -279,6 +290,67 @@ class TestSuiteAndEmit:
 
     def test_suite_shape(self, records):
         assert len(records) == 4 and all(r is not None for r in records)
+
+    def test_parallel_suite_submits_the_longest_cells_first(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            """Runs each submitted call at once and records the order."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(args)
+                fut = Future()
+                try:
+                    fut.set_result(fn(*args))
+                except Exception as exc:  # noqa: BLE001 - handed to the suite
+                    fut.set_exception(exc)
+                return fut
+
+        def fake_trial(config, seed):
+            if seed == 5 and config.host.kind == "nsga2":
+                raise RuntimeError("injected failure")
+            return (config.problem, config.host.kind, seed)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(bench, "run_trial", fake_trial)
+        configs = [RunConfig(problem=problem,
+                             host=HostConfig(kind=host, population_size=20),
+                             fe_max=600)
+                   for host in ("moead", "smsemoa", "nsga2")
+                   for problem in ("mop2", "mop11")]
+        got = run_suite(configs, seeds=[5, 6], parallelism=2)
+        cells = [(cfg.problem, cfg.host.kind, seed) for cfg in configs
+                 for seed in (5, 6)]
+        # the records keep config x seed order, the failed cell in place
+        assert got == [None if cell[1:] == ("nsga2", 5) else cell for cell in cells]
+        # smsemoa first, then 3-objective before 2-objective, else record order
+        assert [(cfg.problem, cfg.host.kind, seed) for cfg, seed in submitted] == [
+            ("mop11", "smsemoa", 5), ("mop11", "smsemoa", 6),
+            ("mop2", "smsemoa", 5), ("mop2", "smsemoa", 6),
+            ("mop11", "moead", 5), ("mop11", "moead", 6),
+            ("mop11", "nsga2", 5), ("mop11", "nsga2", 6),
+            ("mop2", "moead", 5), ("mop2", "moead", 6),
+            ("mop2", "nsga2", 5), ("mop2", "nsga2", 6),
+        ]
+
+    def test_serial_suite_runs_in_record_order(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "run_trial",
+                            lambda config, seed: ran.append((config.host.kind, seed)))
+        configs = [small_config(), RunConfig(
+            problem="mop11", host=HostConfig(kind="smsemoa", population_size=20),
+            fe_max=600)]
+        run_suite(configs, seeds=[1, 0], parallelism=1)
+        assert ran == [("moead", 1), ("moead", 0), ("smsemoa", 1), ("smsemoa", 0)]
 
     def test_parallel_matches_serial(self):
         configs = [small_config()]
@@ -646,6 +718,70 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg)])
         assert result.exit_code == 0, result.output  # was a TypeError
         assert seen == [[3]]
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"seeds": [1.5, 2]}, "seed must be a whole number, not 1.5"),
+        ({"seeds": [True, 2]}, "seed must be a whole number, not True"),
+        ({"seeds": False}, "seed must be a whole number, not False"),
+        ({"seeds": [None]}, "seed must be a whole number, not None"),
+        ({"fe_max": 1200.5}, "fe_max must be a whole number, not 1200.5"),
+        ({"fe_max": True}, "fe_max must be a whole number, not True"),
+        ({"pop_size": 20.7}, "pop_size must be a whole number, not 20.7"),
+        ({"pop_size": [30]}, "pop_size must be a whole number, not [30]"),
+        ({"snapshot_every": 500.5}, "snapshot_every must be a whole number"),
+        ({"snapshot_every": True}, "snapshot_every must be a whole number"),
+    ])
+    def test_config_file_numbers_must_be_whole(self, settings, message, tmp_path,
+                                               monkeypatch):
+        # "pop_size": 20.7 used to run at population 20 and exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "host": "moead", "seeds": [0],
+                                   "fe_max": 1200, "pop_size": 30, **settings}))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--out", str(res), "--workers", "1"])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert message in result.output and "Traceback" not in result.output
+        assert not calls and not res.exists()
+
+    def test_config_file_takes_whole_floats(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "seeds": [2.0, 0], "fe_max": 1200.0,
+                                   "pop_size": 30.0, "snapshot_every": 400.0}))
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda configs, seeds, parallelism:
+                            seen.append((configs, seeds)) or [])
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        (config,), seeds = seen[0]
+        assert seeds == [2, 0]
+        assert (config.host.population_size, config.fe_max, config.snapshot_every) == (
+            30, 1200, 400)
+        assert all(type(v) is int for v in (config.host.population_size, config.fe_max,
+                                             config.snapshot_every, *seeds))
+
+    @pytest.mark.parametrize("text,message", [
+        ("{\"problem\": \"mop1\",", "is not valid JSON"),
+        ("", "is not valid JSON"),
+        ("[\"mop1\"]", "must hold a JSON object of settings, not list"),
+        ("3", "must hold a JSON object of settings, not int"),
+        ("null", "must hold a JSON object of settings, not NoneType"),
+    ])
+    def test_config_file_must_be_a_json_object(self, text, message, tmp_path,
+                                               monkeypatch):
+        # a parse error and a list used to end in tracebacks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--out", str(res), "--workers", "1"])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert message in result.output and "Traceback" not in result.output
+        assert not calls and not res.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_rejects_nonpositive_count(self, count, tmp_path):

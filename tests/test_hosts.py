@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from idealbench import hosts
 from idealbench.core import (BoxBounds, EvaluationBudget, OffspringBatch,
-                             dominates, fast_non_dominated_sort, make_rng)
+                             clamp_to_bounds, dominates,
+                             fast_non_dominated_sort, make_rng)
 from idealbench.generator import get_problem
 from idealbench.hosts import (RANGE_GUARD, UT_BETA, EstimatorConfig,
                               HostConfig, crowding_distance, de_pm_offspring,
@@ -50,6 +51,49 @@ def scalar_distinct_triplets(pools, avoid, rng):
                 forbidden.add(cand)
         out[row] = chosen
     return out
+
+
+def per_front_crowding_distance(objs):
+    """The earlier crowding kernel, one front per call, kept verbatim as the
+    oracle of the all-fronts pass."""
+    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    k, m = objs.shape
+    dist = np.zeros(k)
+    if k <= 2:
+        return np.full(k, np.inf)
+    for j in range(m):
+        order = np.argsort(objs[:, j], kind="stable")
+        col = objs[order, j]
+        span = col[-1] - col[0]
+        if span < RANGE_GUARD:
+            continue
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        dist[order[1:-1]] += (col[2:] - col[:-2]) / span
+    return dist
+
+
+def full_array_polynomial_mutation(xs, rng, bounds, eta=50.0, prob=None):
+    """The earlier mutation kernel, which computes the step at every entry,
+    kept verbatim as the oracle."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    k, n = xs.shape
+    if prob is None:
+        prob = 1.0 / n
+    lo, hi = bounds.lower, bounds.upper
+    span = hi - lo
+    apply = rng.random((k, n)) < prob
+    u = rng.random((k, n))
+    d1 = (xs - lo) / span
+    d2 = (hi - xs) / span
+    exp = 1.0 / (eta + 1.0)
+    low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+    high_side = 1.0 - (
+        2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+    ) ** exp
+    delta = np.where(u < 0.5, low_side, high_side)
+    out = np.where(apply, xs + delta * span, xs)
+    return clamp_to_bounds(out, bounds)
 
 
 def leave_one_out_contributions(objs, ref):
@@ -282,6 +326,27 @@ class TestDistinctTriplets:
         self.assert_matches_scalar(pools, None, 6)
         self.assert_matches_scalar(pools, np.arange(65), 7)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [4, 7, 50, 210])
+    def test_equal_size_lists_and_arrays_match_scalar_draws(self, k, seed):
+        # pools of one size take NumPy's value blocks, whatever their type
+        rng = make_rng(300 + seed)
+        pools = [rng.permutation(k) + 1000 for _ in range(k)]
+        avoid = np.array([pool[rng.integers(0, k)] for pool in pools])
+        self.assert_matches_scalar(pools, avoid, seed)
+        self.assert_matches_scalar([p.tolist() for p in pools], avoid, seed)
+        self.assert_matches_scalar([p.tolist() for p in pools], None, seed)
+
+    @pytest.mark.parametrize("k", [2**31 + 5, 3 * 2**30, 2**33 + 7])
+    def test_equal_size_path_at_rejection_heavy_bounds(self, k):
+        # NumPy rejects about half the words at 2**31 + 5, lands a quarter
+        # on the threshold at 3 * 2**30, and takes 64-bit words above 2**32
+        # (beyond the word replay); lists or arrays this long do not fit in
+        # memory, so the pools are ranges
+        pools = [range(k)] * 40
+        self.assert_matches_scalar(pools, None, 8)
+        self.assert_matches_scalar(pools, make_rng(9).integers(0, k, size=40), 9)
+
     def test_rows_are_distinct_and_avoid_the_base(self):
         rng = make_rng(21)
         pools = [np.arange(4), np.arange(10, 13), np.arange(50)]
@@ -295,6 +360,9 @@ class TestDistinctTriplets:
         ([np.arange(5), np.arange(2)], None),
         ([np.arange(3)], np.array([1])),
         ([np.arange(5), np.array([4, 8, 9])], np.array([0, 8])),
+        ([range(2)] * 3, None),  # pools of one size: NumPy's value blocks
+        ([np.arange(3)] * 4, np.array([7, 9, 1, 8])),
+        ([[4, 5, 6]] * 2, np.array([0, 6])),
     ])
     def test_too_small_pool_raises_before_any_draw(self, pools, avoid):
         rng = make_rng(22)
@@ -345,6 +413,107 @@ class TestDominanceSorting:
         rng = make_rng(8)
         objs = rng.random((57, 2))
         assert len(nsga2_select(objs, 23)) == 23
+
+
+def labelled_point_sets(seed):
+    """Rows with front labels, built to reach every case of the all-fronts
+    crowding pass: ties, duplicate rows, flat objectives and wholly flat
+    fronts, fronts of one or two rows, and labels that skip values and
+    are not grouped by row."""
+    rng = make_rng(seed)
+    m = int(rng.integers(2, 4))
+    labels = rng.choice([0, 3, 4, 9, 17, 40], size=int(rng.integers(1, 7)), replace=False)
+    parts = []
+    for label in labels:
+        size = int(rng.choice([1, 2, 3, int(rng.integers(4, 30))]))
+        rows = np.round(rng.random((size, m)), int(rng.integers(1, 3)))  # ties
+        if rng.random() < 0.3:
+            rows[:, rng.integers(0, m)] = 0.25  # one flat objective
+        if rng.random() < 0.1:
+            rows[:] = rows[0]  # a wholly flat front
+        if size > 3 and rng.random() < 0.5:
+            rows[1] = rows[-1]  # duplicate rows
+        parts.append((np.full(size, label), rows))
+    front = np.concatenate([f for f, _ in parts])
+    objs = np.vstack([rows for _, rows in parts])
+    shuffle = rng.permutation(front.size)
+    return objs[shuffle], front[shuffle]
+
+
+def per_front_reference(objs, front):
+    """Crowding by the earlier kernel, one call per front in row order."""
+    want = np.empty(objs.shape[0])
+    for label in np.unique(front):
+        rows = np.flatnonzero(front == label)
+        want[rows] = per_front_crowding_distance(objs[rows])
+    return want
+
+
+class TestCrowdingOracle:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_all_fronts_match_the_per_front_kernel(self, seed):
+        objs, front = labelled_point_sets(seed)
+        got = crowding_distance(objs, front)
+        assert got.tobytes() == per_front_reference(objs, front).tobytes()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_one_front_matches_the_per_front_kernel(self, seed):
+        objs, _ = labelled_point_sets(seed)
+        for rows in (objs, objs[:1], objs[:2], objs[:3]):
+            got = crowding_distance(rows)
+            assert got.tobytes() == per_front_crowding_distance(rows).tobytes()
+
+    def test_flat_and_narrow_fronts(self):
+        objs = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0],  # flat in f1
+                         [0.3, 0.3], [0.3, 0.3], [0.3, 0.3],  # flat in both
+                         [0.5, 0.5],                          # one row
+                         [0.1, 0.9], [0.9, 0.1]])             # two rows
+        front = np.array([2, 2, 2, 5, 5, 5, 6, 8, 8])
+        got = crowding_distance(objs, front)
+        assert got.tolist() == [np.inf, 1.0, np.inf, 0.0, 0.0, 0.0,
+                                np.inf, np.inf, np.inf]
+        assert got.tobytes() == per_front_reference(objs, front).tobytes()
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_host_generations_match_the_per_front_kernel(self, name):
+        problem = get_problem(name)
+        budget = EvaluationBudget(4_000, _eval=problem.evaluate_batch)
+        rng = make_rng(31)
+        host = make_host(problem, HostConfig(kind="nsga2", population_size=60),
+                         budget, rng)
+        empty = OffspringBatch.empty(problem.n, problem.m)
+        for _ in range(12):
+            rank = np.empty(host.pop_f.shape[0], dtype=int)
+            for level, rows in enumerate(host.fronts):
+                rank[rows] = level
+            got = crowding_distance(host.pop_f, rank)
+            assert got.tobytes() == per_front_reference(host.pop_f, rank).tobytes()
+            host.step(empty, budget, rng)
+
+
+class TestMutationOracle:
+    @pytest.mark.parametrize("prob", [None, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bytes_match_the_full_array_kernel(self, prob, seed):
+        rng = make_rng(400 + seed)
+        k, n = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        lower = rng.random(n) * 4 - 2
+        bounds = BoxBounds(lower, lower + rng.random(n) * 3 + 1e-3)
+        xs = bounds.sample(k, rng)
+        on_lower = rng.random((k, n)) < 0.2
+        on_upper = rng.random((k, n)) < 0.2
+        xs[on_lower] = np.broadcast_to(bounds.lower, (k, n))[on_lower]
+        xs[on_upper] = np.broadcast_to(bounds.upper, (k, n))[on_upper]
+        fast, slow = make_rng(seed), make_rng(seed)
+        got = polynomial_mutation(xs, fast, bounds, prob=prob)
+        want = full_array_polynomial_mutation(xs, slow, bounds, prob=prob)
+        assert got.tobytes() == want.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_nothing_applied_returns_a_clamped_copy(self):
+        xs = np.array([[-0.5, 0.5, 1.5, 0.25]])
+        got = polynomial_mutation(xs, make_rng(0), UNIT, prob=0.0)
+        assert got.tolist() == [[0.0, 0.5, 1.0, 0.25]] and got is not xs
 
 
 def reference_tchebycheff(objs, weights, z_ref, scale):
