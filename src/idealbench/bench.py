@@ -269,17 +269,23 @@ def emit(records: list, out_dir: str | Path) -> dict:
     return summary
 
 
-def summarize(records: list) -> dict:
-    """Per-cell means and standard deviations, keyed problem -> column."""
+def _cells(records: list) -> dict:
+    """Each cell's series of ``e``, ``hv`` and ``eie_fe_fraction``, in
+    record order, keyed ``(problem, host+estimator)``."""
     cells: dict = {}
     for rec in records:
-        key = (rec.problem, f"{rec.host}+{rec.estimator}")
-        cells.setdefault(key, {"e": [], "hv": [], "eie_fe_fraction": []})
-        cells[key]["e"].append(rec.e_value)
-        cells[key]["hv"].append(rec.hv_value)
-        cells[key]["eie_fe_fraction"].append(rec.eie_fe_fraction)
+        cell = cells.setdefault((rec.problem, f"{rec.host}+{rec.estimator}"),
+                                {"e": [], "hv": [], "eie_fe_fraction": []})
+        cell["e"].append(rec.e_value)
+        cell["hv"].append(rec.hv_value)
+        cell["eie_fe_fraction"].append(rec.eie_fe_fraction)
+    return cells
+
+
+def summarize(records: list) -> dict:
+    """Per-cell means and standard deviations, keyed problem -> column."""
     out: dict = {}
-    for (problem, column), vals in sorted(cells.items()):
+    for (problem, column), vals in sorted(_cells(records).items()):
         entry = out.setdefault(problem, {})
         entry[column] = {
             metric: {
@@ -323,19 +329,14 @@ def build_report(records: list, reference: str, alpha: float = 0.05) -> dict:
     if reference not in columns:
         raise ValueError(f"reference column {reference!r} not among {columns}")
     problems = sorted({r.problem for r in records})
-    by_cell: dict = {}
-    for rec in records:
-        by_cell.setdefault((rec.problem, f"{rec.host}+{rec.estimator}"),
-                           {"e": [], "hv": []})
-        by_cell[(rec.problem, f"{rec.host}+{rec.estimator}")]["e"].append(rec.e_value)
-        by_cell[(rec.problem, f"{rec.host}+{rec.estimator}")]["hv"].append(rec.hv_value)
+    by_cell = _cells(records)
 
     report: dict = {"columns": columns, "reference": reference, "problems": {}}
     rank_totals = {metric: {c: 0.0 for c in columns} for metric in ("e", "hv")}
     for problem in problems:
         entry: dict = {}
         for metric, larger_better in (("e", False), ("hv", True)):
-            series = {c: by_cell.get((problem, c), {"e": [], "hv": []})[metric]
+            series = {c: by_cell.get((problem, c), {metric: []})[metric]
                       for c in columns}
             means = [float(np.mean(series[c])) if series[c] else float("nan")
                      for c in columns]

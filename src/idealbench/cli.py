@@ -9,16 +9,13 @@ import math
 from pathlib import Path
 
 import click
-import numpy as np
-from click.core import ParameterSource
 
 from .bench import (WORKERS_ENV, RunConfig, build_report, cell_name,
                     check_seeds, default_fe_max, default_population_size, emit,
                     format_report, load_raw, run_suite, whole_number,
                     worker_count)
 from .core import make_rng
-from .generator import (get_problem, preset_names, sample_pareto_front,
-                        sample_pareto_set)
+from .generator import get_problem, preset_names
 from .hosts import ESTIMATOR_KINDS, HOST_KINDS, EstimatorConfig, HostConfig
 
 PF_GRID_DEFAULTS = {2: 1000, 3: 5151}
@@ -54,10 +51,10 @@ def sample(problem, what, count, seed, out):
     if count is None:
         count = PF_GRID_DEFAULTS[prob.m] if what == "pf" else 1000
     if what == "pf":
-        data = sample_pareto_front(prob.params, count)
+        data = prob.sample_pareto_front(count)
         header = [f"f{i + 1}" for i in range(prob.m)]
     elif what == "ps":
-        data = sample_pareto_set(prob.params, count, rng)
+        data = prob.sample_pareto_set(count, rng)
         header = [f"x{i + 1}" for i in range(prob.n)]
     else:
         xs = prob.bounds.sample(count, rng)
@@ -73,6 +70,21 @@ def sample(problem, what, count, seed, out):
 
 def _split(value: str) -> list:
     return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _names(given: dict, key: str, default: str) -> list:
+    value = given.get(key, default)
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise ValueError(f"{key} must be a name or a list of names, not {value!r}")
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 @main.command()
@@ -91,12 +103,11 @@ def _split(value: str) -> list:
 @click.option("--paper-protocol", is_flag=True,
               help="Full-scale protocol: 30 seeds, 200k/400k evaluations;"
                    " excludes --seeds and --fe-max.")
-@click.option("--out", "output_dir", type=click.Path(file_okay=False), default="results")
+@click.option("--out", "output_dir", type=click.Path(file_okay=False), default=None,
+              help="Output directory; default results.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               envvar=WORKERS_ENV, help=f"Process count; also via {WORKERS_ENV}.")
-@click.pass_context
-def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, epsilon,
-        snapshot_every, scalarization, paper_protocol, output_dir, workers):
+def run(config_path, paper_protocol, workers, **flags):
     """Run (problem x host x estimator x seed) trials and emit CSVs."""
     file_cfg = {}
     if config_path:
@@ -115,54 +126,49 @@ def run(ctx, config_path, problem, host, estimator, seeds, fe_max, pop_size, eps
                 f" known keys: {', '.join(sorted(CONFIG_KEYS))}")
 
     if paper_protocol:  # it sets both, so a given value would be ignored
-        given = [opt for opt, flag in (("--seeds", seeds), ("--fe-max", fe_max))
-                 if flag is not None]
-        given += [f"'{key}' in {config_path}" for key in ("seeds", "fe_max")
-                  if key in file_cfg]
-        if given:
+        drop = [opt for opt, key in (("--seeds", "seeds"), ("--fe-max", "fe_max"))
+                if flags[key] is not None]
+        drop += [f"'{key}' in {config_path}" for key in ("seeds", "fe_max")
+                 if key in file_cfg]
+        if drop:
             raise click.UsageError(
                 f"--paper-protocol sets the seeds and the budget;"
-                f" drop {', '.join(given)}")
+                f" drop {', '.join(drop)}")
 
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    problems = _split(problem) if problem else list(
-        np.atleast_1d(file_cfg.get("problem", "mop1")))
-    hosts = _split(host) if host else list(np.atleast_1d(file_cfg.get("host", "moead")))
-    estimators = _split(estimator) if estimator else list(
-        np.atleast_1d(file_cfg.get("estimator", "running-min")))
-    if ctx.get_parameter_source("output_dir") is ParameterSource.DEFAULT:
-        output_dir = file_cfg.get("output_dir", output_dir)  # a typed --out wins
+    # one merge rule, whose keys are the config file's: a flag, then the
+    # file's value, then the default
+    for key in ("problem", "host", "estimator", "seeds"):  # comma-separated
+        flags[key] = _split(flags[key]) if flags[key] else None
+    given = {**file_cfg, **{key: v for key, v in flags.items() if v is not None}}
 
     configs = []
     try:
-        file_seeds = file_cfg.get("seeds", range(10))
-        seed_list = check_seeds(
-            range(30) if paper_protocol else _split(seeds) if seeds
-            else file_seeds if isinstance(file_seeds, (list, range)) else [file_seeds])
+        seeds = given.get("seeds", range(10))
+        seed_list = check_seeds(range(30) if paper_protocol else seeds
+                                if isinstance(seeds, (list, range)) else [seeds])
+        output_dir = given.get("output_dir", "results")
+        if not isinstance(output_dir, str):
+            raise ValueError(f"output_dir must be a path, not {output_dir!r}")
+        # only given values reach the configs, so their own defaults apply
+        run_kw = {key: check(given[key], key) for key, check in (
+            ("snapshot_every", whole_number), ("epsilon", _real)) if key in given}
+        host_kw = {key: given[key] for key in ("scalarization",) if key in given}
+        problems = _names(given, "problem", "mop1")
+        hosts = _names(given, "host", "moead")
+        estimators = _names(given, "estimator", "running-min")
         for prob_name in problems:
             prob = get_problem(prob_name)
-            pop = pick(pop_size, "pop_size", default_population_size(prob.m))
-            fe = pick(fe_max, "fe_max", default_fe_max(prob.m))
+            pop = whole_number(given.get("pop_size", default_population_size(prob.m)),
+                               "pop_size")
+            fe = whole_number(given.get("fe_max", default_fe_max(prob.m)), "fe_max")
             if paper_protocol:
                 fe = 200_000 if prob.m == 2 else 400_000
             for host_kind in hosts:
-                host_cfg = HostConfig(
-                    kind=host_kind,
-                    population_size=whole_number(pop, "pop_size"),
-                    scalarization=pick(scalarization, "scalarization", "tchebycheff"),
-                )
+                host_cfg = HostConfig(kind=host_kind, population_size=pop, **host_kw)
                 for est_kind in estimators:
                     configs.append(RunConfig(
-                        problem=prob_name,
-                        host=host_cfg,
-                        estimator=EstimatorConfig(kind=est_kind),
-                        fe_max=whole_number(fe, "fe_max"),
-                        snapshot_every=whole_number(
-                            pick(snapshot_every, "snapshot_every", 1000), "snapshot_every"),
-                        epsilon=float(pick(epsilon, "epsilon", 0.05)),
-                    ))
+                        problem=prob_name, host=host_cfg,
+                        estimator=EstimatorConfig(kind=est_kind), fe_max=fe, **run_kw))
         if not configs:
             raise ValueError("no problem, host or estimator given")
     except (KeyError, ValueError) as exc:  # an unknown name or a rejected value

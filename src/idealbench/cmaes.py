@@ -147,9 +147,9 @@ class CmaProcedure:
 
         self.sigma0 = self.sigma
         self._refresh_eigen()
-        self.init_eigenvalues = self._eigvals.copy()
-        # TolXUp's per-axis limit, sorted as the eigenvalues are
-        self._tolxup_limit = 1e4 * self.sigma0 * np.sqrt(self.init_eigenvalues)
+        # TolXUp's per-axis limit, from the initial axes sorted as the
+        # eigenvalues are
+        self._tolxup_limit = 1e4 * self.sigma0 * self._sqrt_eigvals
 
         maxhist = 10 + math.ceil(30 * self.n / self.lambda_default) + 5
         self.best_history: deque = deque(maxlen=maxhist)

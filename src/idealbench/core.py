@@ -1,6 +1,6 @@
-"""Shared domain types and kernels: dominance relations and sorting, box
-bounds, simplex lattices, the offspring batch hosts and the estimation
-component exchange, and the RNG contract.
+"""Shared domain types and kernels: non-dominated sorting, box bounds,
+simplex lattices, the offspring batch hosts and the estimation component
+exchange, and the RNG contract.
 
 Everything in this module is pure and operates on plain ``numpy`` arrays of
 float64.  Decision vectors are 1-D arrays of length ``n``; objective vectors
@@ -48,25 +48,10 @@ class BoxBounds:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol)
-        )
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform samples inside the box, shape (count, n)."""
         u = rng.random((count, self.n))
         return self.lower + u * (self.upper - self.lower)
-
-
-def dominates(u: np.ndarray, v: np.ndarray) -> bool:
-    """Pareto dominance: u is no worse everywhere and strictly better somewhere."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return bool(np.all(u <= v) and np.any(u < v))
 
 
 def _dense_ranks(objs: np.ndarray) -> np.ndarray:

@@ -31,14 +31,6 @@ def alpha_from_epsilon(eps: float) -> float:
     return eps / (eps + 1.0)
 
 
-def error_bound(alpha: float, beta: float) -> float:
-    """Worst-case error of a subproblem optimum on its own objective when
-    all objectives share the range ``beta``; requires alpha <= 0.5."""
-    if alpha > 0.5:
-        raise ValueError("bound holds only for alpha <= 0.5")
-    return alpha * beta / (1.0 - alpha)
-
-
 def ews_weights(alphas: np.ndarray) -> np.ndarray:
     """Extreme-weighted-sum weights, one row per subproblem: row i puts
     ``1 - alphas[i]`` on objective i and ``alphas[i]/(m-1)`` on the rest."""

@@ -117,7 +117,7 @@ class GeneratorParams:
 
     @cached_property
     def ratio_frame(self) -> tuple:
-        """``(c, normal matrix, r0)`` of ``distance_ratio`` for ``c_dis``."""
+        """``(c, normal matrix, r0)`` of ``_ratio`` for ``c_dis``."""
         c, nmat, r0 = _ratio_frame(self.c_dis)
         return _frozen(c), _frozen(nmat), r0
 
@@ -129,7 +129,7 @@ class GeneratorParams:
 
     @cached_property
     def remap_frame(self) -> tuple:
-        """``remap``'s centres, coefficients and exponent for ``chat_vals``
+        """``_remap``'s centres, coefficients and exponent for ``chat_vals``
         and ``gamma``."""
         *arrays, g = _remap_frame(self.chat_vals, self.gamma)
         return (*map(_frozen, arrays), g)
@@ -156,21 +156,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def sigma(x_pos: np.ndarray, m: int) -> np.ndarray:
-    """Reduce the s position variables to m-1 group means.
-
-    Group i collects the position variables with index congruent to i
-    modulo m-1, which makes the position part scalable in s.
-    """
-    x_pos = np.atleast_2d(np.asarray(x_pos, dtype=float))
-    s = x_pos.shape[1]
-    if s < m - 1:
-        raise ValueError("need at least m-1 position variables")
-    return _group_means(x_pos, _groups(s, m - 1))
-
-
 def _groups(count: int, size: int) -> tuple:
-    # variable j belongs to group j % size
+    # variable j belongs to group j % size, which makes the position part
+    # scalable in s
     return tuple((slice(i, None, size), len(range(i, count, size)))
                  for i in range(size))
 
@@ -208,17 +196,6 @@ def chat(c_pos) -> np.ndarray:
     return out
 
 
-def remap(sig: np.ndarray, chat_vals: np.ndarray, gamma: float) -> np.ndarray:
-    """Biased remapping of group means into [0,1].
-
-    Below the center the value is pulled toward the center with a power-law
-    plateau (minimum 0 at sigma = chat/2); above it the mirrored branch peaks
-    at 1 at sigma = (1+chat)/2; sigma in {0, 1} lands back on chat, so the
-    extremes of the output cannot be reached by clamping the inputs.
-    """
-    return _remap(np.asarray(sig, dtype=float), *_remap_frame(chat_vals, gamma))
-
-
 def _remap_frame(chat_vals, gamma: float) -> tuple:
     c = np.asarray(chat_vals, dtype=float)
     g = float(gamma)
@@ -230,6 +207,13 @@ def _remap_frame(chat_vals, gamma: float) -> tuple:
 
 def _remap(sig: np.ndarray, c: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
            coef_lo: np.ndarray, coef_hi: np.ndarray, g: float) -> np.ndarray:
+    """Biased remapping of group means into [0,1].
+
+    Below the center the value is pulled toward the center with a power-law
+    plateau (minimum 0 at sigma = chat/2); above it the mirrored branch peaks
+    at 1 at sigma = (1+chat)/2; sigma in {0, 1} lands back on chat, so the
+    extremes of the output cannot be reached by clamping the inputs.
+    """
     lo = coef_lo * np.abs(sig - c_lo) ** g
     hi = 1.0 - coef_hi * np.abs(sig - c_hi) ** g
     return np.where(sig < c, lo, np.where(sig > c, hi, sig))
@@ -280,18 +264,14 @@ def _ratio_frame(c_dis) -> tuple:
 
 def _ratio(y: np.ndarray, c: np.ndarray, nmat: np.ndarray,
            r0: float) -> np.ndarray:
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    r = ((y - c) @ nmat.T).max(axis=1)
-    return np.clip(r / r0, 0.0, 1.0)
-
-
-def distance_ratio(y: np.ndarray, c_dis) -> np.ndarray:
-    """Relative distance of simplex points from the center ``c_dis``.
+    """Relative distance of simplex points from the center ``c``.
 
     0 at the center, 1 at the farthest simplex vertex; level sets are
     simplex-shaped contours around the center.
     """
-    return _ratio(y, *_ratio_frame(c_dis))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    r = ((y - c) @ nmat.T).max(axis=1)
+    return np.clip(r / r0, 0.0, 1.0)
 
 
 def scale_b(ell: np.ndarray, beta: float, m: int) -> np.ndarray:
@@ -337,16 +317,6 @@ def _distance_from_y(
     anchor, weight = _distance_frame(y, params)
     powered = np.abs(x_dist - anchor) ** params.a3
     return weight[:, None] * _group_means(powered, params.distance_groups)
-
-
-def distance_values(
-    x_pos: np.ndarray, x_dist: np.ndarray, params: GeneratorParams
-) -> np.ndarray:
-    """Raw distance parts ``g`` before mixing, shape (k, m); all >= 0."""
-    x_pos = np.atleast_2d(np.asarray(x_pos, dtype=float))
-    x_dist = np.atleast_2d(np.asarray(x_dist, dtype=float))
-    _, y = position_value(x_pos, params)
-    return _distance_from_y(x_dist, y, params)
 
 
 def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:

