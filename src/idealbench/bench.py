@@ -51,8 +51,8 @@ class RunConfig:
         self.host.check_population(get_problem(self.problem).m)
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be at least 1, not {self.snapshot_every}")
-        if not self.epsilon > 0:  # NaN too
-            raise ValueError(f"epsilon must be positive, not {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:  # NaN too
+            raise ValueError(f"epsilon must be positive and finite, not {self.epsilon}")
         # ut and drp act only through MoeadHost's reference point
         if self.estimator.kind in ("ut", "drp") and self.host.kind != "moead":
             raise ValueError(
@@ -300,19 +300,31 @@ def summarize(records: list) -> dict:
 
 
 def load_raw(path: str | Path) -> list:
-    """Parse an emitted raw CSV back into records (without populations)."""
+    """Parse an emitted raw CSV back into records (without populations).
+
+    A missing column, a short row or a value that does not parse raises
+    ``ValueError`` naming the file and what is wrong.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in RAW_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
         for row in reader:
-            rows.append(RunRecord(
-                problem=row["problem"], host=row["host"],
-                estimator=row["estimator"], seed=int(row["seed"]),
-                fe_max=int(row["fe_max"]), e_value=float(row["e"]),
-                hv_value=float(row["hv"]),
-                eie_fe_fraction=float(row["eie_fe_fraction"]),
-                trajectory=[],
-            ))
+            try:
+                if None in row.values():
+                    raise ValueError("too few fields")
+                rows.append(RunRecord(
+                    problem=row["problem"], host=row["host"],
+                    estimator=row["estimator"], seed=int(row["seed"]),
+                    fe_max=int(row["fe_max"]), e_value=float(row["e"]),
+                    hv_value=float(row["hv"]),
+                    eie_fe_fraction=float(row["eie_fe_fraction"]),
+                    trajectory=[],
+                ))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows
 
 

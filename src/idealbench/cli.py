@@ -42,11 +42,14 @@ def list_problems():
               help="Front samples, optimal-set samples, or random solutions.")
 @click.option("--count", type=click.IntRange(min=1), default=None,
               help="Sample count.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def sample(problem, what, count, seed, out):
     """Dump PF/PS/random samples of PROBLEM as CSV."""
-    prob = get_problem(problem)
+    try:
+        prob = get_problem(problem)
+    except KeyError as exc:
+        raise click.BadParameter(exc.args[0], param_hint="'PROBLEM'") from exc
     rng = make_rng(seed)
     if count is None:
         count = PF_GRID_DEFAULTS[prob.m] if what == "pf" else 1000
@@ -204,7 +207,10 @@ def _not_nan(ctx, param, value):
               help="Significance level of the rank-sum verdicts.")
 def report(results_dir, reference, alpha):
     """Summarize an emitted raw.csv as the comparison tables."""
-    records = load_raw(Path(results_dir) / "raw.csv")
+    try:
+        records = load_raw(Path(results_dir) / "raw.csv")
+    except (OSError, ValueError) as exc:  # missing, unreadable or malformed
+        raise click.UsageError(str(exc)) from exc
     if not records:
         raise click.ClickException("no records found")
     columns = sorted({f"{r.host}+{r.estimator}" for r in records})

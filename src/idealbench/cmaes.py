@@ -1,4 +1,5 @@
-"""Single-objective CMA-ES with population-size adaptation.
+"""Single-objective CMA-ES in a box, with population-size adaptation and the
+active covariance update.
 
 One `CmaProcedure` owns the full strategy state of one run: distribution
 mean, step size, covariance with cached eigendecomposition, per-coordinate
@@ -45,14 +46,12 @@ def default_lambda(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _selection_weights(lam: int, n: int,
-                       active: bool = True) -> types.MappingProxyType:
+def _selection_weights(lam: int, n: int) -> types.MappingProxyType:
     """Recombination weights and learning rates for one population size.
 
     Standard scheme with active covariance adaptation: the better half gets
     positive weights summing to one, the worse half gets negative weights
-    scaled to keep the covariance positive definite.  ``active=False``
-    drops the negative half (plain rank-mu updates).  Below four
+    scaled to keep the covariance positive definite.  Below four
     candidates mu is 1 and so c_mu is 0: no rank-mu update acts, and the
     negative half is dropped too.  The result is cached and shared, so it is
     a read-only mapping of read-only arrays.
@@ -71,7 +70,7 @@ def _selection_weights(lam: int, n: int,
         1.0 - c_1,
         2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff),
     )
-    neg = raw[mu:] if active and c_mu > 0 else np.empty(0)
+    neg = raw[mu:] if c_mu > 0 else np.empty(0)
     mu_eff_neg = (
         float(neg.sum()) ** 2 / float(np.sum(neg**2)) if neg.size else 0.0
     )
@@ -115,16 +114,15 @@ def _regularized_cov(points: np.ndarray) -> np.ndarray:
 
 
 class CmaProcedure:
-    """Strategy state of one CMA-ES run with population-size adaptation."""
+    """Strategy state of one bounded CMA-ES run with population-size
+    adaptation and the active covariance update."""
 
     def __init__(
         self,
         mean: np.ndarray,
         step_size: float,
         covariance: np.ndarray,
-        bounds: BoxBounds | None = None,
-        psa_enabled: bool = True,
-        active_cma: bool = True,
+        bounds: BoxBounds,
     ):
         self.mean = np.asarray(mean, dtype=float).copy()
         self.n = self.mean.shape[0]
@@ -134,8 +132,6 @@ class CmaProcedure:
         self.bounds = bounds
         self.lambda_default = default_lambda(self.n)
         self.lam = self.lambda_default
-        self.psa_enabled = psa_enabled
-        self.active_cma = active_cma
 
         self.p_sigma = np.zeros(self.n)
         self.p_c = np.zeros(self.n)
@@ -162,34 +158,27 @@ class CmaProcedure:
         cls,
         points: np.ndarray,
         fitness: np.ndarray,
-        bounds: BoxBounds | None = None,
-        quantile: float = WARM_START_QUANTILE,
-        psa_enabled: bool = True,
-        active_cma: bool = True,
+        bounds: BoxBounds,
     ) -> "CmaProcedure":
-        """Initialize mean and covariance from the best fraction of a
-        solution set, moment-matching the promising region; sigma starts
-        at 1."""
+        """Initialize mean and covariance from the best WARM_START_QUANTILE
+        of a solution set, moment-matching the promising region; sigma
+        starts at 1."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         fitness = np.asarray(fitness, dtype=float)
         if points.shape[0] == 0:
             raise ValueError("warm start needs a non-empty solution set")
-        k = max(1, math.ceil(points.shape[0] * quantile))
+        k = max(1, math.ceil(points.shape[0] * WARM_START_QUANTILE))
         order = np.argsort(fitness, kind="stable")
         donors = points[order[:k]]
         mean = donors.mean(axis=0)
         cov = _regularized_cov(donors)
-        return cls(mean, 1.0, cov, bounds=bounds, psa_enabled=psa_enabled,
-                   active_cma=active_cma)
+        return cls(mean, 1.0, cov, bounds)
 
     def warm_restart(self, points: np.ndarray, fitness: np.ndarray) -> None:
         """Re-initialize in place from a solution set after an exceptional
-        stop; step-size and eigenvalue snapshots are re-taken so later
-        divergence checks reference the restarted state."""
-        fresh = CmaProcedure.warm_start(
-            points, fitness, bounds=self.bounds, psa_enabled=self.psa_enabled,
-            active_cma=self.active_cma,
-        )
+        stop, in the same box; step-size and eigenvalue snapshots are
+        re-taken so later divergence checks reference the restarted state."""
+        fresh = CmaProcedure.warm_start(points, fitness, self.bounds)
         self.__dict__.update(fresh.__dict__)
 
     # -- internals --------------------------------------------------------
@@ -255,16 +244,14 @@ class CmaProcedure:
     # -- ask / tell -------------------------------------------------------
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample the current population, clamped to the box if one is set."""
+        """Sample the current population, clamped to the box."""
         if not self.live:
             raise RuntimeError("procedure has stopped")
         z = rng.standard_normal((self.lam, self.n))
         xs = self.mean + self.sigma * self.scales * (
             (z * self._sqrt_eigvals) @ self._eigvecs.T
         )
-        if self.bounds is not None:
-            xs = clamp_to_bounds(xs, self.bounds)
-        return xs
+        return clamp_to_bounds(xs, self.bounds)
 
     def tell(
         self,
@@ -301,7 +288,7 @@ class CmaProcedure:
 
         lam_sel = min(self.lam, xs.shape[0])
         order = np.argsort(fitness, kind="stable")[:lam_sel]
-        params = _selection_weights(lam_sel, self.n, self.active_cma)
+        params = _selection_weights(lam_sel, self.n)
         mu, w = params["mu"], params["weights"]
         w_all = params["all_weights"]
         mu_eff = params["mu_eff"]
@@ -360,12 +347,9 @@ class CmaProcedure:
         self._last_fitness = fitness[order]
         self.generation += 1
 
-        if self.psa_enabled:
-            self._adapt_lambda(old_mean, old_sigma, params)
-        clamped = np.zeros(used.shape, dtype=bool)
-        if self.bounds is not None:
-            selected = selected[: len(w_all)]
-            clamped = (selected == self.bounds.lower) | (selected == self.bounds.upper)
+        self._adapt_lambda(old_mean, old_sigma, params)
+        selected = selected[: len(w_all)]
+        clamped = (selected == self.bounds.lower) | (selected == self.bounds.upper)
         self._accelerate_diagonal(used, clamped, w_circle, c_mu, old_cov)
         self._refresh_eigen()
         return self.check_stop()

@@ -26,8 +26,8 @@ NORMALIZATION_GUARD = 1e-12
 
 def alpha_from_epsilon(eps: float) -> float:
     """Subproblem weight parameter for a normalized error tolerance."""
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < eps < np.inf:  # NaN too
+        raise ValueError(f"tolerance must be positive and finite, not {eps}")
     return eps / (eps + 1.0)
 
 

@@ -464,7 +464,7 @@ def preset(name: str) -> GeneratorParams:
         if key not in {f"mop{i}" for i in range(11, 17)}:
             raise KeyError(f"no inverted variant defined for {name!r}")
     if key not in rows:
-        raise KeyError(f"unknown problem {name!r}")
+        raise KeyError(f"unknown problem {name!r}; known: {', '.join(preset_names())}")
     return GeneratorParams(inverted=inverted, **rows[key])
 
 

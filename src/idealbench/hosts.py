@@ -27,6 +27,9 @@ ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
 MATE_NEIGHBORHOOD_PROB = 0.9  # MOEA/D mates within the neighbourhood
+DE_F = 0.5  # DE/rand/1 scale factor
+DE_CR = 0.9  # binomial crossover rate
+PM_ETA = 50.0  # polynomial mutation's distribution index; its rate is 1/n
 UT_BETA = 0.1  # ut's fixed optimism offset
 DRP_FLOOR = 1e-3  # drp's offset at the budget end
 
@@ -67,14 +70,10 @@ class EstimatorConfig:
 
 
 def polynomial_mutation(
-    xs: np.ndarray,
-    rng: np.random.Generator,
-    bounds: BoxBounds,
-    eta: float = 50.0,
-    prob: float | None = None,
+    xs: np.ndarray, rng: np.random.Generator, bounds: BoxBounds
 ) -> np.ndarray:
-    """Bounded polynomial mutation applied componentwise with probability
-    ``prob`` (default 1/n).
+    """Bounded polynomial mutation with index PM_ETA, applied componentwise
+    with probability 1/n.
 
     Two (k, n) uniform draws decide which entries mutate and by how much;
     the step is computed only at the entries that mutate (about k of the
@@ -83,9 +82,7 @@ def polynomial_mutation(
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     k, n = xs.shape
-    if prob is None:
-        prob = 1.0 / n
-    apply = rng.random((k, n)) < prob
+    apply = rng.random((k, n)) < 1.0 / n
     u = rng.random((k, n))
     rows, cols = np.nonzero(apply)
     x, u = xs[rows, cols], u[rows, cols]
@@ -93,10 +90,10 @@ def polynomial_mutation(
     span = hi - lo
     d1 = (x - lo) / span
     d2 = (hi - x) / span
-    exp = 1.0 / (eta + 1.0)
-    low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)) ** exp - 1.0
+    exp = 1.0 / (PM_ETA + 1.0)
+    low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (PM_ETA + 1.0)) ** exp - 1.0
     high_side = 1.0 - (
-        2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+        2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (PM_ETA + 1.0)
     ) ** exp
     delta = np.where(u < 0.5, low_side, high_side)
     out = xs.copy()
@@ -110,23 +107,20 @@ def de_pm_offspring(
     diff_b: np.ndarray,
     rng: np.random.Generator,
     bounds: BoxBounds,
-    f: float = 0.5,
-    cr: float = 0.9,
-    pm_eta: float = 50.0,
-    pm_prob: float | None = None,
 ) -> np.ndarray:
-    """DE/rand/1/bin children followed by polynomial mutation and clamping.
+    """DE/rand/1/bin children (DE_F, DE_CR) followed by polynomial mutation
+    and clamping.
 
     All three parent arguments are (k, n) batches; rows pair up.
     """
     base = np.atleast_2d(np.asarray(base, dtype=float))
     k, n = base.shape
-    mutant = base + f * (np.atleast_2d(diff_a) - np.atleast_2d(diff_b))
-    cross = rng.random((k, n)) < cr
+    mutant = base + DE_F * (np.atleast_2d(diff_a) - np.atleast_2d(diff_b))
+    cross = rng.random((k, n)) < DE_CR
     cross[np.arange(k), rng.integers(0, n, size=k)] = True
     child = np.where(cross, mutant, base)
     child = clamp_to_bounds(child, bounds)
-    return polynomial_mutation(child, rng, bounds, eta=pm_eta, prob=pm_prob)
+    return polynomial_mutation(child, rng, bounds)
 
 
 def _distinct_triplets(

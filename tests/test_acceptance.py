@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from idealbench.bench import RunConfig, run_suite
 from idealbench.cli import main as cli_main
 from idealbench.cmaes import CmaProcedure
-from idealbench.core import EvaluationBudget, OffspringBatch, make_rng
+from idealbench.core import BoxBounds, EvaluationBudget, OffspringBatch, make_rng
 from idealbench.estimation import alpha_from_epsilon, ews_weights
 from idealbench.generator import (GeneratorParams, _distance_from_y, _remap,
                                   _remap_frame, chat, get_problem,
@@ -129,7 +129,9 @@ def test_criterion_5_cmaes_sanity():
     for seed in range(5):
         rng = make_rng(seed)
         pts = rng.uniform(-5, 5, (100, 7))
-        proc = CmaProcedure.warm_start(pts, sphere(pts))
+        # a box no sample reaches, so clamping to it changes nothing
+        proc = CmaProcedure.warm_start(pts, sphere(pts),
+                                       BoxBounds(np.full(7, -1e6), np.full(7, 1e6)))
         evals, best = 0, np.inf
         while evals < 10_000 and best > 1e-8:
             xs = proc.ask(rng)

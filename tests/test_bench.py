@@ -88,11 +88,12 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("field,value", [
         ("snapshot_every", 0), ("snapshot_every", -5), ("epsilon", 0.0),
-        ("epsilon", -0.05), ("epsilon", float("nan")),
+        ("epsilon", -0.05), ("epsilon", float("nan")), ("epsilon", float("inf")),
     ])
     def test_unusable_snapshot_interval_or_tolerance_rejected(self, field, value):
         # snapshot_every 0 divided by zero and a negative one snapshotted every
-        # generation; epsilon <= 0 failed every eie cell at run time
+        # generation; epsilon <= 0 failed every eie cell at run time, and an
+        # infinite one scored every subproblem candidate NaN
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
@@ -710,6 +711,7 @@ class TestCli:
         ([], {bench.WORKERS_ENV: "abc"}, "--workers"),
         (["--pop-size", "2"], {}, "population must exceed"),
         (["--host", "nsga2", "--pop-size", "3"], {}, "at least 4"),
+        (["--epsilon", "inf"], {}, "epsilon must be positive and finite"),
     ])
     def test_run_rejects_bad_values_before_any_trial(self, flags, env, message,
                                                      tmp_path, monkeypatch):
@@ -768,6 +770,7 @@ class TestCli:
         ({"problem": 5}, "problem must be a name or a list of names, not 5"),
         ({"problem": None}, "problem must be a name or a list of names, not None"),
         ({"problem": ["mop1", 2]}, "names, not ['mop1', 2]"),
+        ({"epsilon": float("inf")}, "epsilon must be positive and finite, not inf"),
     ])
     def test_config_file_values_must_have_their_type(self, settings, message,
                                                      tmp_path, monkeypatch):
@@ -829,3 +832,39 @@ class TestCli:
             cli_main, ["sample", "mop1", "--count", count, "--out", str(out)])
         assert result.exit_code == 2, result.output  # click usage error
         assert "--count" in result.output and not out.exists()
+
+    def test_sample_unknown_problem_is_a_usage_error(self, tmp_path):
+        # was a KeyError traceback, exit 1
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(cli_main, ["sample", "mop99", "--out", str(out)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "unknown problem 'mop99'" in result.output
+        assert "known: mop1, mop2," in result.output and "mop16-inv" in result.output
+        assert "Traceback" not in result.output and not out.exists()
+
+    def test_sample_rejects_negative_seed(self, tmp_path):
+        # was NumPy's ValueError traceback from make_rng
+        out = tmp_path / "ps.csv"
+        result = CliRunner().invoke(cli_main, ["sample", "mop1", "--what", "ps",
+                                               "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "--seed" in result.output and not out.exists()
+
+    @pytest.mark.parametrize("raw,message", [
+        (None, "No such file or directory"),
+        ("problem,host,estimator,seed\nmop1,moead,eie,0\n",
+         "lacks the column(s) fe_max, e, hv, eie_fe_fraction"),
+        (",".join(bench.RAW_COLUMNS) + "\nmop1,moead,eie,0,1000,abc,0.5,0\n",
+         "line 2: could not convert string to float: 'abc'"),
+        (",".join(bench.RAW_COLUMNS) + "\nmop1,moead,eie,0,1000,0.1,0.5,0\nmop1,moead\n",
+         "line 3: too few fields"),
+    ])
+    def test_report_on_bad_results_is_a_usage_error(self, raw, message, tmp_path):
+        # each ended in a FileNotFoundError, KeyError or ValueError traceback
+        if raw is not None:
+            (tmp_path / "raw.csv").write_text(raw)
+        result = CliRunner().invoke(cli_main, ["report", str(tmp_path)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert str(tmp_path / "raw.csv") in result.output.replace("\n", "")
+        assert message in result.output and "Traceback" not in result.output
+        assert not (tmp_path / "report.json").exists()

@@ -17,10 +17,23 @@ def sphere(xs):
     return np.sum(np.atleast_2d(xs) ** 2, axis=1)
 
 
+def far_box(n):
+    """A box no sample of these tests reaches: clamping to it is the identity."""
+    return BoxBounds(np.full(n, -1e6), np.full(n, 1e6))
+
+
+class FixedLambda(CmaProcedure):
+    """A procedure whose population size stays where it is set."""
+
+    def _adapt_lambda(self, old_mean, old_sigma, params) -> None:
+        pass
+
+
 def fresh_procedure(seed=0, n=7, psa=True):
     rng = make_rng(seed)
     pts = rng.uniform(-5, 5, (100, n))
-    return CmaProcedure.warm_start(pts, sphere(pts), psa_enabled=psa), rng
+    cls = CmaProcedure if psa else FixedLambda
+    return cls.warm_start(pts, sphere(pts), far_box(n)), rng
 
 
 class TestDefaultLambda:
@@ -37,7 +50,7 @@ class TestDefaultLambda:
 class TestWarmStart:
     def test_identical_points_floor(self):
         pts = np.tile([1.0, 2.0, 3.0], (50, 1))
-        proc = CmaProcedure.warm_start(pts, np.zeros(50))
+        proc = CmaProcedure.warm_start(pts, np.zeros(50), far_box(3))
         assert proc.mean == pytest.approx([1.0, 2.0, 3.0])
         assert np.allclose(proc.cov, proc.cov[0, 0] * np.eye(3))
         assert proc.cov[0, 0] > 0
@@ -47,20 +60,21 @@ class TestWarmStart:
         rng = make_rng(1)
         pts = rng.random((100, 4))
         fits = np.arange(100.0)
-        proc = CmaProcedure.warm_start(pts, fits)
+        proc = CmaProcedure.warm_start(pts, fits, far_box(4))
         assert proc.mean == pytest.approx(pts[:10].mean(axis=0))
 
     def test_moment_matching_on_gaussian_cloud(self):
         rng = make_rng(2)
         true_cov = np.diag([4.0, 1.0, 0.25])
         pts = rng.multivariate_normal(np.array([1.0, -1.0, 0.0]), true_cov, 10_000)
-        proc = CmaProcedure.warm_start(pts, np.zeros(10_000), quantile=1.0)
+        # equal fitness: the donors are the first WARM_START_QUANTILE of draws
+        proc = CmaProcedure.warm_start(pts, np.zeros(10_000), far_box(3))
         assert proc.mean == pytest.approx([1.0, -1.0, 0.0], abs=0.1)
         assert np.diag(proc.cov) == pytest.approx(np.diag(true_cov), rel=0.1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            CmaProcedure.warm_start(np.empty((0, 3)), np.empty(0))
+            CmaProcedure.warm_start(np.empty((0, 3)), np.empty(0), far_box(3))
 
 
 class TestAsk:
@@ -78,6 +92,13 @@ class TestAsk:
         proc.sigma = 50.0
         xs = proc.ask(rng)
         assert (xs >= bounds.lower).all() and (xs <= bounds.upper).all()
+        # a restart keeps the box
+        proc.warm_restart(pts, sphere(pts))
+        assert proc.bounds is bounds
+        proc.sigma = 50.0
+        xs = proc.ask(rng)
+        assert (xs >= bounds.lower).all() and (xs <= bounds.upper).all()
+        assert ((xs == bounds.lower) | (xs == bounds.upper)).any()
 
     def test_sample_mean_matches_distribution(self):
         proc, rng = fresh_procedure(4, n=3)
@@ -120,7 +141,7 @@ class TestTell:
             return np.einsum("ij,jk,ik->i", np.atleast_2d(xs), hess, np.atleast_2d(xs))
 
         pts = rng.uniform(-3, 3, (80, 6))
-        proc = CmaProcedure.warm_start(pts, quad(pts))
+        proc = CmaProcedure.warm_start(pts, quad(pts), far_box(6))
         for _ in range(500):
             xs = proc.ask(rng)
             proc.tell(xs, quad(xs))
@@ -216,8 +237,7 @@ class TestTell:
         def run_mine(seed):
             rng = make_rng(seed)
             pts = rng.uniform(-5, 5, (100, 7))
-            proc = CmaProcedure.warm_start(pts, sphere(pts), psa_enabled=False,
-                                           active_cma=False)
+            proc = FixedLambda.warm_start(pts, sphere(pts), far_box(7))
             evals = 0
             while evals < 30_000:
                 xs = proc.ask(rng)
@@ -269,6 +289,7 @@ class TestPopulationSizeAdaptation:
             assert proc.lambda_default <= proc.lam <= 8 * proc.lambda_default
 
     def test_disabled_stays_default(self):
+        # nothing but _adapt_lambda moves the population size
         proc, rng = fresh_procedure(14, psa=False)
         for _ in range(30):
             xs = proc.ask(rng)
@@ -315,10 +336,10 @@ class TestStopping:
         assert seen == {True, False}
 
     def test_selection_weights_cached_and_read_only(self):
-        for lam, n, active in [(8, 7, True), (56, 7, True), (8, 7, False), (6, 2, True)]:
-            got = _selection_weights(lam, n, active)
-            assert _selection_weights(lam, n, active) is got
-            fresh = _selection_weights.__wrapped__(lam, n, active)
+        for lam, n in [(8, 7), (56, 7), (6, 2)]:
+            got = _selection_weights(lam, n)
+            assert _selection_weights(lam, n) is got
+            fresh = _selection_weights.__wrapped__(lam, n)
             assert got.keys() == fresh.keys()
             for key, value in fresh.items():
                 np.testing.assert_array_equal(got[key], value)
@@ -405,7 +426,7 @@ class TestConditioning:
         cusp = power_cusp(anchor)
         rng = make_rng(0)
         pts = rng.uniform(-5, 5, (100, n))
-        proc = CmaProcedure.warm_start(pts, cusp(pts), psa_enabled=False)
+        proc = FixedLambda.warm_start(pts, cusp(pts), far_box(n))
         assert proc.lam == default_lambda(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,7 +445,7 @@ class TestConditioning:
         # at 1e-10 of their length.  Mended, seed 0 reaches 5e-22 here.
         rng = make_rng(0)
         pts = rng.uniform(0, 1, (100, 7))
-        proc = CmaProcedure.warm_start(pts, mean_cusp(pts), psa_enabled=False)
+        proc = FixedLambda.warm_start(pts, mean_cusp(pts), far_box(7))
         proc.lam = 8 * proc.lambda_default
         for _ in range(300):
             xs = proc.ask(rng)
@@ -433,7 +454,7 @@ class TestConditioning:
         assert proc.mean[:5].mean() == pytest.approx(0.55, abs=1e-15)
 
     def test_scales_absorb_axis_aligned_spread(self):
-        proc = CmaProcedure(np.zeros(3), 1.0, np.diag([1.0, 1e-8, 1e-16]))
+        proc = CmaProcedure(np.zeros(3), 1.0, np.diag([1.0, 1e-8, 1e-16]), far_box(3))
         assert np.linalg.cond(proc.cov) <= 1.01 * MAX_CONDITION
         assert proc.axis_sd == pytest.approx([1.0, 1e-4, 1e-8])
 
@@ -446,8 +467,8 @@ class TestDiagonalAcceleration:
         anchor = 0.9 * np.cos((n + 2) * np.arange(1, n + 1) * np.pi / (2 * n)) + 0.01
         cusp = power_cusp(anchor)
         rng = make_rng(1)
-        proc = CmaProcedure(anchor + rng.uniform(-0.3, 0.3, n), 0.2, np.eye(n),
-                            psa_enabled=False)
+        proc = FixedLambda(anchor + rng.uniform(-0.3, 0.3, n), 0.2, np.eye(n),
+                           far_box(n))
         proc.lam = 8 * proc.lambda_default
         for _ in range(130):
             xs = proc.ask(rng)
@@ -456,12 +477,12 @@ class TestDiagonalAcceleration:
 
     def test_clamped_coordinates_keep_their_scale(self):
         bounds = BoxBounds(np.zeros(2), np.ones(2))
-        proc = CmaProcedure(np.array([0.95, 0.5]), 0.1, np.eye(2), bounds=bounds,
-                            active_cma=False)
+        proc = CmaProcedure(np.array([0.95, 0.5]), 0.1, np.eye(2), bounds=bounds)
         rng = make_rng(2)
-        xs = np.column_stack([np.r_[np.ones(3), np.full(3, 0.9)],
+        xs = np.column_stack([np.r_[np.ones(3), np.zeros(3)],
                               rng.uniform(0.3, 0.7, 6)])
         # the selected half all sit on the upper bound of the first coordinate
+        # and the rest, which the active update weighs negatively, on its lower
         proc.tell(xs, -xs[:, 0] + 1e-3 * np.arange(6))
         assert proc.scales[0] == 1.0
         assert proc.scales[1] != 1.0

@@ -201,16 +201,23 @@ class TestRandomSource:
         assert not np.array_equal(make_rng(1).random(10), make_rng(2).random(10))
 
     def test_bit_identical_across_processes(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import idealbench
 
         script = (
             "import numpy as np; from idealbench.core import make_rng; "
             "print(make_rng(99).random(5).tobytes().hex())"
         )
+        # the child imports the package this process imported, installed or not
+        src = str(Path(idealbench.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = {
-            subprocess.run([sys.executable, "-c", script],
-                           capture_output=True, text=True, check=True).stdout
+            subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout
             for _ in range(2)
         }
         assert len(outs) == 1

@@ -27,6 +27,12 @@ class TestAlphaEpsilon:
         with pytest.raises(ValueError):
             alpha_from_epsilon(0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite(self, eps):
+        # inf gave alpha NaN, and every subproblem candidate scored NaN
+        with pytest.raises(ValueError, match="positive and finite"):
+            alpha_from_epsilon(eps)
+
 
 def error_bound(alpha: float, beta: float) -> float:
     """Worst-case error of a subproblem optimum on its own objective when

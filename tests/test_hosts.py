@@ -252,40 +252,51 @@ def point_sets(value, min_size=1, max_size=30):
         max_size=max_size))
 
 
+@pytest.fixture
+def de_alone(monkeypatch):
+    """DE's children without the polynomial mutation that follows it."""
+    monkeypatch.setattr(hosts, "polynomial_mutation", lambda xs, rng, bounds: xs)
+
+
 class TestVariation:
-    def test_degenerate_config_returns_base(self):
+    def test_degenerate_config_returns_base(self, de_alone, monkeypatch):
+        monkeypatch.setattr(hosts, "DE_F", 1e-12)
+        monkeypatch.setattr(hosts, "DE_CR", 1.0)
         rng = make_rng(0)
         base = rng.random((5, 4))
         b, c = rng.random((5, 4)), rng.random((5, 4))
-        child = de_pm_offspring(base, b, c, rng, UNIT, f=1e-12, cr=1.0, pm_prob=0.0)
+        child = de_pm_offspring(base, b, c, rng, UNIT)
         assert child == pytest.approx(base, abs=1e-10)
 
-    def test_identical_parents_without_mutation(self):
+    def test_identical_parents_without_mutation(self, de_alone):
         rng = make_rng(1)
         x = rng.random((3, 4))
-        child = de_pm_offspring(x, x, x, rng, UNIT, pm_prob=0.0)
+        child = de_pm_offspring(x, x, x, rng, UNIT)
         assert np.array_equal(child, x)
 
-    def test_children_respect_bounds(self):
+    def test_children_respect_bounds(self, monkeypatch):
+        monkeypatch.setattr(hosts, "DE_F", 2.0)
         rng = make_rng(2)
         base = rng.random((10_000, 4))
         b, c = rng.random((10_000, 4)), rng.random((10_000, 4))
-        child = de_pm_offspring(base, b, c, rng, UNIT, f=2.0)
+        child = de_pm_offspring(base, b, c, rng, UNIT)
         assert in_unit_box(child)
 
-    def test_crossover_mixes_coordinates(self):
+    def test_crossover_mixes_coordinates(self, de_alone, monkeypatch):
+        monkeypatch.setattr(hosts, "DE_F", 1.0)
+        monkeypatch.setattr(hosts, "DE_CR", 0.5)
         rng = make_rng(3)
         base = np.zeros((2000, 4))
         mutant_source = np.ones((2000, 4))
         child = de_pm_offspring(base, mutant_source, np.zeros((2000, 4)),
-                                rng, UNIT, f=1.0, cr=0.5, pm_prob=0.0)
+                                rng, UNIT)
         frac = child.mean()
         assert 0.4 < frac < 0.75  # cr plus the forced coordinate
 
     def test_polynomial_mutation_stays_bounded(self):
         rng = make_rng(4)
         xs = rng.random((5000, 4))
-        out = polynomial_mutation(xs, rng, UNIT, eta=50.0, prob=0.5)
+        out = polynomial_mutation(xs, rng, UNIT)
         assert in_unit_box(out)
         assert not np.array_equal(out, xs)
 
@@ -499,11 +510,14 @@ class TestCrowdingOracle:
 
 
 class TestMutationOracle:
-    @pytest.mark.parametrize("prob", [None, 0.5, 1.0])
+    # the rate is 1/n: None draws n, 0.5 and 1.0 fix it at 2 and 1
+    @pytest.mark.parametrize("rate", [None, 0.5, 1.0])
     @pytest.mark.parametrize("seed", range(8))
-    def test_bytes_match_the_full_array_kernel(self, prob, seed):
+    def test_bytes_match_the_full_array_kernel(self, rate, seed):
         rng = make_rng(400 + seed)
         k, n = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        if rate is not None:
+            n = round(1 / rate)
         lower = rng.random(n) * 4 - 2
         bounds = BoxBounds(lower, lower + rng.random(n) * 3 + 1e-3)
         xs = bounds.sample(k, rng)
@@ -512,14 +526,15 @@ class TestMutationOracle:
         xs[on_lower] = np.broadcast_to(bounds.lower, (k, n))[on_lower]
         xs[on_upper] = np.broadcast_to(bounds.upper, (k, n))[on_upper]
         fast, slow = make_rng(seed), make_rng(seed)
-        got = polynomial_mutation(xs, fast, bounds, prob=prob)
-        want = full_array_polynomial_mutation(xs, slow, bounds, prob=prob)
+        got = polynomial_mutation(xs, fast, bounds)
+        want = full_array_polynomial_mutation(xs, slow, bounds)
         assert got.tobytes() == want.tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_nothing_applied_returns_a_clamped_copy(self):
         xs = np.array([[-0.5, 0.5, 1.5, 0.25]])
-        got = polynomial_mutation(xs, make_rng(0), UNIT, prob=0.0)
+        no_draw_applies = SimpleNamespace(random=np.ones)  # 1 is never below 1/n
+        got = polynomial_mutation(xs, no_draw_applies, UNIT)
         assert got.tolist() == [[0.0, 0.5, 1.0, 0.25]] and got is not xs
 
 
