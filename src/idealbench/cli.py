@@ -19,9 +19,6 @@ from .generator import get_problem, preset_names
 from .hosts import ESTIMATOR_KINDS, HOST_KINDS, EstimatorConfig, HostConfig
 
 PF_GRID_DEFAULTS = {2: 1000, 3: 5151}
-CONFIG_KEYS = frozenset({"problem", "host", "estimator", "seeds", "fe_max",
-                         "pop_size", "epsilon", "snapshot_every",
-                         "scalarization", "output_dir"})
 
 
 @click.group()
@@ -50,6 +47,10 @@ def sample(problem, what, count, seed, out):
         prob = get_problem(problem)
     except KeyError as exc:
         raise click.BadParameter(exc.args[0], param_hint="'PROBLEM'") from exc
+    try:  # before the samples, so a bad path costs no work
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--out'") from exc
     rng = make_rng(seed)
     if count is None:
         count = PF_GRID_DEFAULTS[prob.m] if what == "pf" else 1000
@@ -101,8 +102,6 @@ def _real(value, name: str) -> float:
 @click.option("--pop-size", type=int, default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--snapshot-every", type=int, default=None)
-@click.option("--scalarization", default=None,
-              type=click.Choice(["tchebycheff", "weighted-sum"]))
 @click.option("--paper-protocol", is_flag=True,
               help="Full-scale protocol: 30 seeds, 200k/400k evaluations;"
                    " excludes --seeds and --fe-max.")
@@ -122,11 +121,11 @@ def run(config_path, paper_protocol, workers, **flags):
             raise click.UsageError(
                 f"{config_path} must hold a JSON object of settings,"
                 f" not {type(file_cfg).__name__}")
-        unknown = sorted(set(file_cfg) - CONFIG_KEYS)
+        unknown = sorted(set(file_cfg) - set(flags))  # flags are named by the keys
         if unknown:
             raise click.UsageError(
                 f"unknown key(s) in {config_path}: {', '.join(unknown)};"
-                f" known keys: {', '.join(sorted(CONFIG_KEYS))}")
+                f" known keys: {', '.join(sorted(flags))}")
 
     if paper_protocol:  # it sets both, so a given value would be ignored
         drop = [opt for opt, key in (("--seeds", "seeds"), ("--fe-max", "fe_max"))
@@ -141,7 +140,7 @@ def run(config_path, paper_protocol, workers, **flags):
     # one merge rule, whose keys are the config file's: a flag, then the
     # file's value, then the default
     for key in ("problem", "host", "estimator", "seeds"):  # comma-separated
-        flags[key] = _split(flags[key]) if flags[key] else None
+        flags[key] = _split(flags[key]) if flags[key] is not None else None
     given = {**file_cfg, **{key: v for key, v in flags.items() if v is not None}}
 
     configs = []
@@ -152,10 +151,11 @@ def run(config_path, paper_protocol, workers, **flags):
         output_dir = given.get("output_dir", "results")
         if not isinstance(output_dir, str):
             raise ValueError(f"output_dir must be a path, not {output_dir!r}")
+        if Path(output_dir).is_file():
+            raise ValueError(f"output_dir {output_dir!r} is a file, not a directory")
         # only given values reach the configs, so their own defaults apply
         run_kw = {key: check(given[key], key) for key, check in (
             ("snapshot_every", whole_number), ("epsilon", _real)) if key in given}
-        host_kw = {key: given[key] for key in ("scalarization",) if key in given}
         problems = _names(given, "problem", "mop1")
         hosts = _names(given, "host", "moead")
         estimators = _names(given, "estimator", "running-min")
@@ -167,13 +167,16 @@ def run(config_path, paper_protocol, workers, **flags):
             if paper_protocol:
                 fe = 200_000 if prob.m == 2 else 400_000
             for host_kind in hosts:
-                host_cfg = HostConfig(kind=host_kind, population_size=pop, **host_kw)
+                host_cfg = HostConfig(kind=host_kind, population_size=pop)
                 for est_kind in estimators:
                     configs.append(RunConfig(
                         problem=prob_name, host=host_cfg,
                         estimator=EstimatorConfig(kind=est_kind), fe_max=fe, **run_kw))
         if not configs:
             raise ValueError("no problem, host or estimator given")
+        if "epsilon" in given and "eie" not in estimators:
+            raise ValueError("epsilon is the tolerance of eie cells only;"
+                             " this grid has none")
     except (KeyError, ValueError) as exc:  # an unknown name or a rejected value
         raise click.UsageError(exc.args[0]) from exc
     jobs = [(cfg, seed) for cfg in configs for seed in seed_list]  # records' order

@@ -38,13 +38,10 @@ DRP_FLOOR = 1e-3  # drp's offset at the budget end
 class HostConfig:
     kind: str = "nsga2"
     population_size: int = 100
-    scalarization: str = "tchebycheff"  # or "weighted-sum"
 
     def __post_init__(self):
         if self.kind not in HOST_KINDS:
             raise ValueError(f"unknown host {self.kind!r}")
-        if self.scalarization not in ("tchebycheff", "weighted-sum"):
-            raise ValueError(f"unknown scalarization {self.scalarization!r}")
 
     def check_population(self, m: int) -> None:
         """Reject a population this host cannot use on ``m`` objectives."""
@@ -348,28 +345,23 @@ def scalarized_fitness(
     weights: np.ndarray,
     z_ref: np.ndarray,
     scale: np.ndarray,
-    kind: str = "tchebycheff",
 ) -> np.ndarray:
-    """Fitness of each objective row under each weight vector, shape
-    (len(weights), len(objs)); smaller is better."""
+    """Tchebycheff fitness of each objective row under each weight vector,
+    shape (len(weights), len(objs)); smaller is better."""
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     shifted = (objs - z_ref) / scale
     w = np.maximum(np.atleast_2d(weights), WEIGHT_FLOOR)
-    if kind == "tchebycheff":
-        # one (weights x rows) product per objective, folded into a running
-        # maximum in place: max over a short last axis is several times
-        # slower than pairwise maxima, and a fresh product per objective
-        # faults its pages in anew
-        cols = np.ascontiguousarray(shifted.T)
-        out = np.multiply(w[:, :1], cols[0])
-        term = np.empty_like(out)
-        for j in range(1, w.shape[1]):
-            np.multiply(w[:, j:j + 1], cols[j], out=term)
-            np.maximum(out, term, out=out)
-        return out
-    if kind == "weighted-sum":
-        return w @ shifted.T
-    raise ValueError(f"unknown scalarization {kind!r}")
+    # one (weights x rows) product per objective, folded into a running
+    # maximum in place: max over a short last axis is several times slower
+    # than pairwise maxima, and a fresh product per objective faults its
+    # pages in anew
+    cols = np.ascontiguousarray(shifted.T)
+    out = np.multiply(w[:, :1], cols[0])
+    term = np.empty_like(out)
+    for j in range(1, w.shape[1]):
+        np.multiply(w[:, j:j + 1], cols[j], out=term)
+        np.maximum(out, term, out=out)
+    return out
 
 
 def global_replacement(fitness: np.ndarray) -> np.ndarray:
@@ -423,7 +415,8 @@ class MoeadHost:
 
     Every subproblem breeds one child per iteration.  Each new solution
     (bred or externally injected) is assigned to the subproblem whose
-    scalarization likes it most, and replaces that incumbent when better.
+    Tchebycheff scalarization likes it most, and replaces that incumbent
+    when better.
     Objectives are rescaled by the reference-to-population range so widely
     different objective magnitudes do not starve any subproblem.
 
@@ -437,7 +430,6 @@ class MoeadHost:
     def __init__(self, problem, config: HostConfig, budget: EvaluationBudget,
                  rng: np.random.Generator, estimator: str = "running-min"):
         self.problem = problem
-        self.config = config
         self.estimator = estimator
         self.weights = simplex_lattice_weights(problem.m, config.population_size)
         self.pop_size = self.weights.shape[0]
@@ -471,9 +463,7 @@ class MoeadHost:
             return o2
         pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
         pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
-        fitness = scalarized_fitness(
-            pool_f, self.weights, self.z_ref, self._scale(), self.config.scalarization
-        )
+        fitness = scalarized_fitness(pool_f, self.weights, self.z_ref, self._scale())
         new_idx = global_replacement(fitness)
         self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
         for batch in (o1, o2):
@@ -623,11 +613,6 @@ class SmsEmoaHost:
         level = _level_after_insert(self.pop_f, self.level, f)
         # the range of the pool: the members plus the newcomer
         lo, hi = np.minimum(self.lo, f), np.maximum(self.hi, f)
-        if k < self.pop_size:
-            self.pop_x = np.vstack([self.pop_x, x])
-            self.pop_f = np.vstack([self.pop_f, f])
-            self.level, self.lo, self.hi = level, lo, hi
-            return
         # the pool is the members plus the newcomer as row k, never stacked
         worst = np.flatnonzero(level == level.max())
         if worst[-1] == k:

@@ -564,21 +564,6 @@ class TestCli:
             outs.append((res / "raw.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_weighted_sum_run_is_deterministic(self, tmp_path):
-        def raw_csv(name, *flags):
-            res = tmp_path / name
-            result = CliRunner().invoke(cli_main, [
-                "run", "--problem", "mop1", "--host", "moead", "--seeds", "5",
-                "--fe-max", "1200", "--pop-size", "30", "--out", str(res),
-                "--workers", "1", *flags])
-            assert result.exit_code == 0, result.output
-            return (res / "raw.csv").read_bytes()
-
-        first, second = (raw_csv(name, "--scalarization", "weighted-sum")
-                         for name in ("a", "b"))
-        assert first == second
-        assert first != raw_csv("tchebycheff")
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -633,6 +618,74 @@ class TestCli:
         assert "neighborhood_size, popsize" in result.output
         assert "Traceback" not in result.output
         assert not calls and not res.exists()
+
+    def test_scalarization_is_not_a_setting(self, tmp_path, monkeypatch):
+        # MOEA/D is Tchebycheff only; neither a flag nor a key can change it
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--problem", "mop1", "--scalarization", "weighted-sum",
+            "--out", str(res)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "No such option '--scalarization'" in result.output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "scalarization": "tchebycheff"}))
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--out", str(res), "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert ("unknown key(s) in " + str(cfg) + ": scalarization; known keys:"
+                " epsilon, estimator, fe_max, host, output_dir, pop_size, problem,"
+                " seeds, snapshot_every") in result.output.replace("\n", " ")
+        assert "Traceback" not in result.output
+        assert not calls and not res.exists()
+
+    @pytest.mark.parametrize("estimators", [
+        "running-min", "eie-separate", "running-min,eie-separate"])
+    @pytest.mark.parametrize("by_flag", [True, False])
+    def test_epsilon_without_an_eie_cell_is_a_usage_error(
+            self, estimators, by_flag, tmp_path, monkeypatch):
+        # only eie reads the tolerance; elsewhere it changed no byte
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop4", "seeds": [0],
+                                   **({} if by_flag else {"epsilon": 0.3})}))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", str(cfg), "--estimator", estimators,
+            *(["--epsilon", "0.3"] if by_flag else []), "--out", str(res)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "epsilon is the tolerance of eie cells only" in result.output
+        assert "Traceback" not in result.output
+        assert not calls and not res.exists()
+
+    def test_epsilon_beside_an_eie_cell_reaches_every_config(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda configs, seeds, parallelism:
+                            seen.extend(configs) or [])
+        result = CliRunner().invoke(cli_main, [
+            "run", "--problem", "mop4", "--estimator", "running-min,eie",
+            "--seeds", "0", "--epsilon", "0.3"])
+        assert result.exit_code == 0, result.output
+        assert [(c.estimator.kind, c.epsilon) for c in seen] == [
+            ("running-min", 0.3), ("eie", 0.3)]
+
+    def test_config_output_dir_that_is_a_file_is_a_usage_error(self, tmp_path,
+                                                               monkeypatch):
+        # every trial ran, then emit's FileExistsError lost the results
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "mop1", "seeds": [0],
+                                   "output_dir": str(taken)}))
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "is a file, not a directory" in result.output
+        assert "Traceback" not in result.output
+        assert not calls and taken.read_text() == "keep"
 
     @pytest.mark.parametrize("flags,file_keys,named", [
         (["--seeds", "0,1", "--fe-max", "3000"], {}, "--seeds, --fe-max"),
@@ -712,6 +765,10 @@ class TestCli:
         (["--pop-size", "2"], {}, "population must exceed"),
         (["--host", "nsga2", "--pop-size", "3"], {}, "at least 4"),
         (["--epsilon", "inf"], {}, "epsilon must be positive and finite"),
+        (["--problem", ""], {}, "no problem"),  # ran mop1
+        (["--host", ""], {}, "no problem"),
+        (["--estimator", ""], {}, "no problem"),
+        (["--seeds", ""], {}, "non-empty"),  # ran the 10 default seeds
     ])
     def test_run_rejects_bad_values_before_any_trial(self, flags, env, message,
                                                      tmp_path, monkeypatch):
@@ -841,6 +898,25 @@ class TestCli:
         assert "unknown problem 'mop99'" in result.output
         assert "known: mop1, mop2," in result.output and "mop16-inv" in result.output
         assert "Traceback" not in result.output and not out.exists()
+
+    def test_sample_creates_its_output_directory(self, tmp_path):
+        # was a FileNotFoundError traceback after the samples were computed
+        out = tmp_path / "nodir" / "x.csv"
+        result = CliRunner().invoke(cli_main, ["sample", "mop1", "--count", "5",
+                                               "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().splitlines()[0] == "f1,f2"
+        assert len(out.read_text().splitlines()) == 6
+
+    def test_sample_out_under_a_file_is_a_usage_error(self, tmp_path, monkeypatch):
+        (tmp_path / "taken").write_text("keep")
+        out = tmp_path / "taken" / "x.csv"
+        drawn = []  # the sampling starts with the generator
+        monkeypatch.setattr(cli, "make_rng", lambda seed: drawn.append(seed))
+        result = CliRunner().invoke(cli_main, ["sample", "mop1", "--out", str(out)])
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "--out" in result.output and "Traceback" not in result.output
+        assert not drawn and (tmp_path / "taken").read_text() == "keep"
 
     def test_sample_rejects_negative_seed(self, tmp_path):
         # was NumPy's ValueError traceback from make_rng

@@ -619,12 +619,6 @@ class TestWeightsAndScalarization:
                     best[home], new_idx[home] = fitness[home, c], c
             assert np.array_equal(global_replacement(fitness), new_idx)
 
-    def test_weighted_sum_variant(self):
-        objs = np.array([[1.0, 3.0]])
-        fit = scalarized_fitness(objs, np.array([[0.5, 0.5]]), np.zeros(2),
-                                 np.ones(2), kind="weighted-sum")
-        assert fit[0, 0] == pytest.approx(2.0)
-
 
 class TestIndicatorSelection:
     def test_duplicate_removed_first(self):
@@ -1002,6 +996,24 @@ class TestBaselineEstimators:
         at_end = reference_point("drp", np.array([5.0]),
                                  np.array([[0.0], [1.0]]), 100, 100)
         assert at_end[0] == pytest.approx(5.0 - 1e-3)
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_each_reference_rule_changes_the_run(self, name):
+        # ut and drp act only through the Tchebycheff reference point;
+        # without one their runs would repeat running-min's
+        problem = get_problem(name)
+        empty = OffspringBatch.empty(problem.n, problem.m)
+        finals = {}
+        for estimator in ("running-min", "ut", "drp"):
+            budget = EvaluationBudget(3_000, _eval=problem.evaluate_batch)
+            rng = make_rng(0)
+            host = make_host(problem, HostConfig(kind="moead", population_size=30),
+                             budget, rng, estimator)
+            while not budget.exhausted:
+                host.step(empty, budget, rng)
+            finals[estimator] = host.pop_f.tobytes()
+        assert finals["ut"] != finals["running-min"]
+        assert finals["drp"] != finals["running-min"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
