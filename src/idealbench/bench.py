@@ -36,7 +36,8 @@ def default_fe_max(m: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one trial depends on, minus the seed."""
+    """Everything one trial depends on, minus the seed.  ``problem`` is
+    stored as the instance's canonical (lower-case) name."""
 
     problem: str
     host: HostConfig
@@ -48,7 +49,9 @@ class RunConfig:
     def __post_init__(self):
         if self.fe_max <= self.host.population_size:
             raise ValueError("fe_max must exceed the population size")
-        self.host.check_population(get_problem(self.problem).m)
+        problem = get_problem(self.problem)
+        object.__setattr__(self, "problem", problem.name)
+        self.host.check_population(problem.m)
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be at least 1, not {self.snapshot_every}")
         if not 0 < self.epsilon < np.inf:  # NaN too
@@ -125,7 +128,7 @@ def run_trial(config: RunConfig, seed: int) -> RunRecord:
         o1 = component.produce_offspring(budget, rng) if component is not None else empty
         o2 = host.step(o1, budget, rng)
         if component is not None:
-            component.update(host.pop_f, o1, o2, host.pop_x)
+            component.update(host.pop_f, o2, host.pop_x)
         if budget.used >= next_snap:
             snapshot()
             next_snap = (budget.used // config.snapshot_every + 1) * config.snapshot_every
@@ -180,6 +183,14 @@ def check_seeds(seeds) -> list:
     return seeds
 
 
+def check_configs(configs: list) -> None:
+    """Reject a config named twice: its runs would be reported as more
+    samples of one cell."""
+    for i, cfg in enumerate(configs):
+        if cfg in configs[:i]:
+            raise ValueError(f"config repeated: {config_name(cfg)}")
+
+
 def run_suite(
     configs: list,
     seeds: list,
@@ -188,7 +199,8 @@ def run_suite(
     """Run every (config, seed) cell, in parallel across processes when
     allowed, returning one record per cell with configs outer and seeds
     inner.  A failed cell is recorded as None in-place and does not stop
-    the suite.
+    the suite; a repeated seed or config is a ``ValueError`` before any
+    trial.
 
     On more than one worker the longest cells are submitted first, so that
     none of them starts last: ``smsemoa`` (one evaluation per selection)
@@ -198,6 +210,7 @@ def run_suite(
     order.
     """
     seeds = check_seeds(seeds)
+    check_configs(configs)
     jobs = [(cfg, seed) for cfg in configs for seed in seeds]
     workers = worker_count(parallelism)
     results: list = [None] * len(jobs)
@@ -221,9 +234,14 @@ def run_suite(
     return results
 
 
+def config_name(config: RunConfig) -> str:
+    """How messages name a config: ``problem/host+estimator``."""
+    return f"{config.problem}/{config.host.kind}+{config.estimator.kind}"
+
+
 def cell_name(config: RunConfig, seed: int) -> str:
     """How messages name a cell: ``problem/host+estimator seed N``."""
-    return f"{config.problem}/{config.host.kind}+{config.estimator.kind} seed {seed}"
+    return f"{config_name(config)} seed {seed}"
 
 
 def _report_failure(config: RunConfig, seed: int, exc: Exception) -> None:

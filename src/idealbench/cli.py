@@ -11,9 +11,9 @@ from pathlib import Path
 import click
 
 from .bench import (WORKERS_ENV, RunConfig, build_report, cell_name,
-                    check_seeds, default_fe_max, default_population_size, emit,
-                    format_report, load_raw, run_suite, whole_number,
-                    worker_count)
+                    check_configs, check_seeds, default_fe_max,
+                    default_population_size, emit, format_report, load_raw,
+                    run_suite, whole_number, worker_count)
 from .core import make_rng
 from .generator import get_problem, preset_names
 from .hosts import ESTIMATOR_KINDS, HOST_KINDS, EstimatorConfig, HostConfig
@@ -174,6 +174,7 @@ def run(config_path, paper_protocol, workers, **flags):
                         estimator=EstimatorConfig(kind=est_kind), fe_max=fe, **run_kw))
         if not configs:
             raise ValueError("no problem, host or estimator given")
+        check_configs(configs)
         if "epsilon" in given and "eie" not in estimators:
             raise ValueError("epsilon is the tolerance of eie cells only;"
                              " this grid has none")

@@ -1,6 +1,6 @@
 """Shared domain types and kernels: non-dominated sorting, box bounds,
-simplex lattices, the offspring batch hosts and the estimation component
-exchange, and the RNG contract.
+simplex lattices, the evaluation budget and the batches of evaluated rows
+it returns, and the RNG contract.
 
 Everything in this module is pure and operates on plain ``numpy`` arrays of
 float64.  Decision vectors are 1-D arrays of length ``n``; objective vectors
@@ -146,6 +146,22 @@ def clamp_to_bounds(x: np.ndarray, bounds: BoxBounds) -> np.ndarray:
 
 
 @dataclass
+class OffspringBatch:
+    """Evaluated rows: decision vectors and their objective values."""
+
+    xs: np.ndarray
+    fs: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, m: int) -> "OffspringBatch":
+        return cls(np.empty((0, n)), np.empty((0, m)))
+
+    @property
+    def size(self) -> int:
+        return self.xs.shape[0]
+
+
+@dataclass
 class EvaluationBudget:
     """Shared function-evaluation account for one run.
 
@@ -166,32 +182,13 @@ class EvaluationBudget:
     def exhausted(self) -> bool:
         return self.used >= self.limit
 
-    def evaluate(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate as many rows of ``xs`` as the budget allows.
-
-        Returns the objective matrix for the evaluated prefix, ``(0, m)``
-        when no row is paid for; the caller detects truncation by comparing
-        row counts.
-        """
+    def evaluate(self, xs: np.ndarray) -> OffspringBatch:
+        """Evaluate as many rows of ``xs`` as the budget allows: the paid
+        prefix and its objective values, no rows (of width m) when none is
+        paid for."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         take = min(xs.shape[0], self.remaining)
-        out = self._eval(xs[:take])
+        paid = xs[:take]
+        out = OffspringBatch(paid, self._eval(paid))
         self.used += take
         return out
-
-
-@dataclass
-class OffspringBatch:
-    """Evaluated offspring of one iteration, tagged by producer."""
-
-    xs: np.ndarray
-    fs: np.ndarray
-    owner: np.ndarray  # subproblem index per row, -1 for host offspring
-
-    @classmethod
-    def empty(cls, n: int, m: int) -> "OffspringBatch":
-        return cls(np.empty((0, n)), np.empty((0, m)), np.empty(0, dtype=int))
-
-    @property
-    def size(self) -> int:
-        return self.xs.shape[0]

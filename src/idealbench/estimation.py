@@ -88,6 +88,9 @@ class IdealEstimation:
         self.evaluations_used = 0
         self.z_min = np.zeros(m)
         self.z_max = np.ones(m)
+        # the last batch and each search's (start, end) rows in it
+        self.batch = OffspringBatch.empty(problem.n, m)
+        self.rows: dict = {}
 
     # -- scoring ----------------------------------------------------------
 
@@ -120,50 +123,38 @@ class IdealEstimation:
         and draws nothing from ``rng``, once every subproblem has terminated.
         When the budget runs short the batch ends with the first search it
         cannot pay for in full, cut to the rows it can."""
-        m, n = self.problem.m, self.problem.n
-        xs_parts, owner_parts = [], []
-        allowance = budget.remaining
-        for i in range(m):
-            if not self.procedures[i].live:
-                continue
-            if allowance == 0:
-                break
-            asked = self.procedures[i].ask(rng)
-            take = min(asked.shape[0], allowance)
-            allowance -= take
-            xs_parts.append(asked[:take])
-            owner_parts.append(np.full(take, i, dtype=int))
-        if not xs_parts:
-            return OffspringBatch.empty(n, m)
-        xs = np.vstack(xs_parts)
-        fs = budget.evaluate(xs)
-        self.evaluations_used += xs.shape[0]
-        return OffspringBatch(xs, fs, np.concatenate(owner_parts))
-
-    def update(
-        self,
-        pop_fs: np.ndarray,
-        o1: OffspringBatch,
-        o2: OffspringBatch,
-        pop_xs: np.ndarray,
-    ) -> None:
-        """Per-iteration parameter update, run after host selection.
-
-        Normalization bounds are refreshed from the surviving population;
-        each live subproblem search is told its own samples (with the other
-        searches' and the host's offspring as injection candidates, gathered
-        and scored only while its population size lets it take them), then
-        restarted from the population on an exceptional stop or retired on
-        a conventional one.
-        """
-        self._refresh_normalization(pop_fs)
-        # `produce_offspring` lays each search's rows out in one run, in
-        # search order; the host's rows (owner -1) are all in o2
-        ends = np.searchsorted(o1.owner, np.arange(len(self.procedures) + 1)).tolist()
+        parts, self.rows = [], {}
+        start, allowance = 0, budget.remaining
         for i, proc in enumerate(self.procedures):
             if not proc.live:
                 continue
-            lo, hi = ends[i], ends[i + 1]
+            if allowance == 0:
+                break
+            asked = proc.ask(rng)[:allowance]
+            parts.append(asked)
+            self.rows[i] = (start, start + asked.shape[0])
+            start += asked.shape[0]
+            allowance -= asked.shape[0]
+        self.batch = (budget.evaluate(np.vstack(parts)) if parts
+                      else OffspringBatch.empty(self.problem.n, self.problem.m))
+        self.evaluations_used += self.batch.size
+        return self.batch
+
+    def update(self, pop_fs: np.ndarray, o2: OffspringBatch,
+               pop_xs: np.ndarray) -> None:
+        """Per-iteration parameter update, run after host selection.
+
+        Normalization bounds are refreshed from the surviving population;
+        each search with rows in the last batch is told its own samples
+        (with the batch's other rows and the host's offspring ``o2`` as
+        injection candidates, gathered and scored only while its population
+        size lets it take them), then restarted from the population on an
+        exceptional stop or retired on a conventional one.
+        """
+        self._refresh_normalization(pop_fs)
+        o1 = self.batch
+        for i, (lo, hi) in self.rows.items():
+            proc = self.procedures[i]
             if hi - lo < proc.lam:
                 continue  # budget cut this subproblem's batch; run is ending
             injected_xs = injected_fitness = None

@@ -456,16 +456,10 @@ def preset_names() -> list:
 def preset(name: str) -> GeneratorParams:
     """Look up one named instance's parameters."""
     key = name.lower()
-    rows = _rows()
-    inverted = False
-    if key.endswith("-inv"):
-        key = key[:-4]
-        inverted = True
-        if key not in {f"mop{i}" for i in range(11, 17)}:
-            raise KeyError(f"no inverted variant defined for {name!r}")
-    if key not in rows:
+    if key not in preset_names():
         raise KeyError(f"unknown problem {name!r}; known: {', '.join(preset_names())}")
-    return GeneratorParams(inverted=inverted, **rows[key])
+    base = key.removesuffix("-inv")
+    return GeneratorParams(inverted=base != key, **_rows()[base])
 
 
 def get_problem(name: str) -> GeneratedProblem:

@@ -190,9 +190,8 @@ def _distinct_triplets(
 def _initial_population(problem, size: int, budget: EvaluationBudget,
                         rng: np.random.Generator) -> tuple:
     """Uniform random members, evaluated as far as the budget allows."""
-    xs = problem.bounds.sample(size, rng)
-    fs = budget.evaluate(xs)
-    return xs[: fs.shape[0]], fs
+    paid = budget.evaluate(problem.bounds.sample(size, rng))
+    return paid.xs, paid.fs
 
 
 def _levels(objs: np.ndarray) -> np.ndarray:
@@ -201,15 +200,6 @@ def _levels(objs: np.ndarray) -> np.ndarray:
     for depth, front in enumerate(fast_non_dominated_sort(objs)):
         level[front] = depth
     return level
-
-
-def _evaluate_offspring(children: np.ndarray,
-                        budget: EvaluationBudget) -> OffspringBatch:
-    """Host children evaluated as far as the budget allows; the unpaid rest
-    is dropped."""
-    fs = budget.evaluate(children)
-    return OffspringBatch(children[: fs.shape[0]], fs,
-                          np.full(fs.shape[0], -1, dtype=int))
 
 
 # -- dominance-based host --------------------------------------------------
@@ -315,7 +305,7 @@ class Nsga2Host:
             self.pop_x[base_idx], self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]],
             rng, self.problem.bounds,
         )
-        o2 = _evaluate_offspring(children, budget)
+        o2 = budget.evaluate(children)
 
         pool_x = np.vstack([self.pop_x, o1.xs, o2.xs])
         pool_f = np.vstack([self.pop_f, o1.fs, o2.fs])
@@ -458,9 +448,7 @@ class MoeadHost:
             self.pop_x[trip[:, 0]], self.pop_x[trip[:, 1]], self.pop_x[trip[:, 2]],
             rng, self.problem.bounds,
         )
-        o2 = _evaluate_offspring(children, budget)
-        if not (o1.size or o2.size):
-            return o2
+        o2 = budget.evaluate(children)
         pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
         pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
         fitness = scalarized_fitness(pool_f, self.weights, self.z_ref, self._scale())
@@ -523,11 +511,11 @@ def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     survives = ~differs.any(axis=0)  # [p, q]: the clamped q enters p's box
     np.fill_diagonal(survives, False)
 
-    owner, q = np.nonzero(survives)  # grouped by owner, ascending
-    clamped = np.maximum(objs[q], objs[owner])
+    p, q = np.nonzero(survives)  # grouped by p, ascending
+    clamped = np.maximum(objs[q], objs[p])
     inside = np.all(clamped < ref, axis=1)
     points = clamped[inside].tolist()
-    ends = np.searchsorted(owner[inside], np.arange(1, k + 1)).tolist()
+    ends = np.searchsorted(p[inside], np.arange(1, k + 1)).tolist()
     boxes = np.prod(np.maximum(ref - objs, 0.0), axis=1).tolist()
     bound = ref.tolist()
     out = []
@@ -638,7 +626,7 @@ class SmsEmoaHost:
              rng: np.random.Generator) -> OffspringBatch:
         for row in range(o1.size):
             self._insert(o1.xs[row], o1.fs[row])
-        children = []
+        xs, fs = [], []
         for _ in range(self.pop_size):
             if budget.exhausted:
                 break
@@ -650,14 +638,13 @@ class SmsEmoaHost:
                 self.pop_x[trip[2]][None, :],
                 rng, self.problem.bounds,
             )
-            o = _evaluate_offspring(child, budget)
+            o = budget.evaluate(child)
             self._insert(o.xs[0], o.fs[0])
-            children.append(o)
-        if not children:
+            xs.append(o.xs[0])
+            fs.append(o.fs[0])
+        if not xs:
             return OffspringBatch.empty(self.problem.n, self.problem.m)
-        return OffspringBatch(np.vstack([o.xs for o in children]),
-                              np.vstack([o.fs for o in children]),
-                              np.concatenate([o.owner for o in children]))
+        return OffspringBatch(np.stack(xs), np.stack(fs))
 
 
 def make_host(problem, config: HostConfig, budget: EvaluationBudget,

@@ -15,6 +15,7 @@ from idealbench.bench import (RunConfig, RunRecord, build_report,
                               format_report, load_raw, run_suite, run_trial,
                               summarize)
 from idealbench.cli import main as cli_main
+from idealbench.estimation import IdealEstimation
 from idealbench.generator import get_problem
 from idealbench.hosts import EstimatorConfig, HostConfig
 
@@ -74,6 +75,38 @@ class TestRunTrial:
         rec = run_trial(small_config(estimator="ut"), seed=2)
         assert rec.eie_fe_fraction == 0.0
 
+    @pytest.mark.parametrize("host", ["nsga2", "moead", "smsemoa"])
+    def test_component_evaluations_are_the_rows_of_its_batches(self, host,
+                                                               monkeypatch):
+        produce = IdealEstimation.produce_offspring
+        calls = []  # (component, budget, used before, rows asked, rows paid)
+
+        def spy(comp, budget, rng):
+            used = budget.used
+            asked = sum(proc.lam for proc in comp.procedures if proc.live)
+            batch = produce(comp, budget, rng)
+            calls.append((comp, budget, used, asked, batch.size))
+            return batch
+
+        monkeypatch.setattr(IdealEstimation, "produce_offspring", spy)
+
+        def config(fe_max):
+            return small_config("mop2", "eie", fe_max=fe_max,
+                                host=HostConfig(kind=host, population_size=20))
+
+        run_trial(config(2_000), seed=0)
+        # the same run, with a budget that ends one row short of the third
+        # component batch
+        _, _, used, _, paid = calls[2]
+        fe_max = used + paid - 1
+        calls.clear()
+        rec = run_trial(config(fe_max), seed=0)
+        comp, budget, _, asked, paid = calls[-1]
+        assert len(calls) == 3 and paid < asked
+        assert comp.evaluations_used == sum(call[-1] for call in calls)
+        assert budget.used == fe_max
+        assert rec.eie_fe_fraction == comp.evaluations_used / fe_max
+
     def test_defaults_scale_with_objectives(self):
         assert default_population_size(2) == 100
         assert default_population_size(3) == 210
@@ -114,6 +147,15 @@ class TestRunTrial:
             run_suite([small_config()], seeds=[])
         with pytest.raises(ValueError, match="non-negative"):
             run_suite([small_config()], seeds=[0, -1])
+
+    def test_repeated_configs_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
+        for configs in ([small_config(), small_config()],
+                        [small_config("mop1"), small_config("MOP1")]):
+            with pytest.raises(ValueError, match="config repeated: mop1/moead"):
+                run_suite(configs, seeds=[0])
+        assert not calls
 
     @pytest.mark.parametrize("seeds", [[1.5, 2], [True, 2], [0, np.bool_(False)],
                                        [float("nan")], [float("inf")], [None]])
@@ -769,6 +811,10 @@ class TestCli:
         (["--host", ""], {}, "no problem"),
         (["--estimator", ""], {}, "no problem"),
         (["--seeds", ""], {}, "non-empty"),  # ran the 10 default seeds
+        # each repeat ran twice and was reported as more runs of one cell
+        (["--problem", "mop1,MOP1"], {}, "config repeated: mop1/moead+eie"),
+        (["--host", "moead,moead"], {}, "config repeated: mop1/moead+eie"),
+        (["--estimator", "eie,running-min,eie"], {}, "config repeated"),
     ])
     def test_run_rejects_bad_values_before_any_trial(self, flags, env, message,
                                                      tmp_path, monkeypatch):
@@ -898,6 +944,27 @@ class TestCli:
         assert "unknown problem 'mop99'" in result.output
         assert "known: mop1, mop2," in result.output and "mop16-inv" in result.output
         assert "Traceback" not in result.output and not out.exists()
+
+    @pytest.mark.parametrize("command", [["sample", "mop2-inv", "--out", "x.csv"],
+                                         ["run", "--problem", "mop2-inv"]])
+    def test_name_without_an_inverted_variant_lists_the_known_names(
+            self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(cli_main, command)
+        assert result.exit_code == 2, result.output  # click usage error
+        assert "unknown problem 'mop2-inv'" in result.output
+        assert "known: mop1, mop2," in result.output and "mop16-inv" in result.output
+        assert "Traceback" not in result.output and not list(tmp_path.iterdir())
+
+    def test_run_names_a_problem_in_lower_case(self, tmp_path):
+        res = tmp_path / "res"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--problem", "MOP1", "--seeds", "0", "--fe-max", "300",
+            "--pop-size", "10", "--out", str(res), "--workers", "1"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((res / "summary.json").read_text())
+        assert list(summary) == ["mop1"]
+        assert summary["mop1"]["moead+running-min"]["e"]["runs"] == 1
 
     def test_sample_creates_its_output_directory(self, tmp_path):
         # was a FileNotFoundError traceback after the samples were computed

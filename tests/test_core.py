@@ -227,17 +227,17 @@ class TestRandomSource:
 class TestEvaluationBudget:
     def test_truncates_to_remaining(self):
         budget = EvaluationBudget(5, _eval=lambda xs: xs * 2.0)
-        out = budget.evaluate(np.ones((3, 2)))
+        out = budget.evaluate(np.ones((3, 2))).fs
         assert out.shape == (3, 2) and budget.used == 3
-        out = budget.evaluate(np.ones((4, 2)))
+        out = budget.evaluate(np.ones((4, 2))).fs
         assert out.shape == (2, 2) and budget.used == 5 and budget.exhausted
-        assert budget.evaluate(np.ones((1, 2))).shape[0] == 0
+        assert budget.evaluate(np.ones((1, 2))).fs.shape[0] == 0
 
     @pytest.mark.parametrize("name", ["mop2", "mop11"])
     def test_exhausted_budget_returns_no_rows_of_width_m(self, name):
         problem = get_problem(name)
         budget = EvaluationBudget(2, _eval=problem.evaluate_batch)
         xs = problem.bounds.sample(3, make_rng(4))
-        assert budget.evaluate(xs).shape == (2, problem.m)
-        assert budget.evaluate(xs).shape == (0, problem.m)
+        assert budget.evaluate(xs).fs.shape == (2, problem.m)
+        assert budget.evaluate(xs).fs.shape == (0, problem.m)
         assert budget.used == 2

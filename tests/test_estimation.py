@@ -148,6 +148,22 @@ class TestComponentLifecycle:
         batch = comp.produce_offspring(budget, rng)
         assert batch.size == 5 and budget.exhausted
 
+    def test_rows_tile_the_batch_in_search_order(self):
+        problem, comp, *_, rng = make_component()
+        first = comp.procedures[0].lam
+        budget = EvaluationBudget(first + 1, _eval=problem.evaluate_batch)
+        batch = comp.produce_offspring(budget, rng)
+        assert comp.batch is batch and batch.size == first + 1
+        assert comp.rows == {0: (0, first), 1: (first, first + 1)}
+
+    def test_update_before_any_batch_tells_no_search(self, monkeypatch):
+        problem, comp, xs, fs, _ = make_component()
+        told = []
+        monkeypatch.setattr(CmaProcedure, "tell",
+                            lambda proc, *a, **k: told.append(proc) or frozenset())
+        comp.update(fs, OffspringBatch.empty(problem.n, problem.m), xs)
+        assert not told and [proc.live for proc in comp.procedures] == [True, True]
+
     def test_all_terminated_yields_empty_forever(self):
         problem, comp, *_, rng = make_component()
         for proc in comp.procedures:
@@ -175,21 +191,21 @@ class TestComponentLifecycle:
     def test_update_runs_and_refreshes_bounds(self):
         problem, comp, xs, fs, rng = make_component()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
-        o1 = comp.produce_offspring(budget, rng)
+        comp.produce_offspring(budget, rng)
         o2 = OffspringBatch.empty(problem.n, problem.m)
-        comp.update(fs, o1, o2, xs)
+        comp.update(fs, o2, xs)
         assert comp.z_min == pytest.approx(fs.min(axis=0))
         assert comp.z_max == pytest.approx(fs.max(axis=0))
 
     def test_conventional_stop_retires_procedure(self, monkeypatch):
         problem, comp, xs, fs, rng = make_component()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
-        o1 = comp.produce_offspring(budget, rng)
+        comp.produce_offspring(budget, rng)
         monkeypatch.setattr(
             comp.procedures[0].__class__, "tell",
             lambda self, *a, **k: frozenset({"NoEffectCoord"}),
         )
-        comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
+        comp.update(fs, OffspringBatch.empty(problem.n, problem.m), xs)
         assert [proc.live for proc in comp.procedures] == [False, False]
         batch = comp.produce_offspring(budget, rng)
         assert batch.size == 0
@@ -197,14 +213,14 @@ class TestComponentLifecycle:
     def test_exceptional_stop_restarts_instead(self, monkeypatch):
         problem, comp, xs, fs, rng = make_component()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
-        o1 = comp.produce_offspring(budget, rng)
+        comp.produce_offspring(budget, rng)
         monkeypatch.setattr(
             comp.procedures[0].__class__, "tell",
             lambda self, *a, **k: frozenset({"TolXUp"}),
         )
         for proc in comp.procedures:
             proc.sigma = 0.5
-        comp.update(fs, o1, OffspringBatch.empty(problem.n, problem.m), xs)
+        comp.update(fs, OffspringBatch.empty(problem.n, problem.m), xs)
         assert [proc.live for proc in comp.procedures] == [True, True]
         assert all(p.sigma == p.sigma0 == 1.0 for p in comp.procedures)
 
@@ -223,6 +239,14 @@ class TestComponentLifecycle:
             IdealEstimation(get_problem("mop1"), epsilons=np.array([0.05]* 3))
 
 
+def own_rows(comp, i):
+    """Mask of search ``i``'s rows in the component's last batch."""
+    own = np.zeros(comp.batch.size, dtype=bool)
+    lo, hi = comp.rows[i]
+    own[lo:hi] = True
+    return own
+
+
 class TestInjectionHandOff:
     """What `update` hands each search's `tell`: its own rows from the
     estimation batch and, only while the search can take them, every other
@@ -235,8 +259,7 @@ class TestInjectionHandOff:
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
         o1 = comp.produce_offspring(budget, rng)
         host_xs = problem.bounds.sample(25, rng)
-        o2 = OffspringBatch(host_xs, problem.evaluate_batch(host_xs),
-                            np.full(25, -1))
+        o2 = OffspringBatch(host_xs, problem.evaluate_batch(host_xs))
         told, scored = [], []
         tell, scores = CmaProcedure.tell, comp._scores
 
@@ -252,25 +275,25 @@ class TestInjectionHandOff:
 
         monkeypatch.setattr(CmaProcedure, "tell", spy_tell)
         monkeypatch.setattr(comp, "_scores", spy_scores)
-        comp.update(fs, o1, o2, xs)
+        comp.update(fs, o2, xs)
         return comp, o1, o2, told, scored
 
     def test_above_default_lambda_passes_no_injection(self, monkeypatch):
         comp, o1, _, told, scored = self.run_update(monkeypatch, 2)
         assert [call[0] for call in told] == [0, 1, 2]
         for i, own_xs, own_fitness, injected_xs, injected_fitness in told:
-            own = o1.owner == i
+            own = own_rows(comp, i)
             assert injected_xs is None and injected_fitness is None
             assert own_xs.tobytes() == o1.xs[own].tobytes()
             want = ews_fitness(o1.fs[own], comp.weights[i], comp.z_min, comp.z_max)
             assert np.asarray(own_fitness).tobytes() == want.tobytes()
-        assert scored == [(i, int((o1.owner == i).sum())) for i in range(3)]
+        assert scored == [(i, int(own_rows(comp, i).sum())) for i in range(3)]
 
     def test_default_lambda_passes_others_in_batch_order(self, monkeypatch):
         comp, o1, o2, told, _ = self.run_update(monkeypatch, 1)
         assert [call[0] for call in told] == [0, 1, 2]
         for i, own_xs, own_fitness, injected_xs, injected_fitness in told:
-            own = o1.owner == i
+            own = own_rows(comp, i)
             assert own_xs.tobytes() == o1.xs[own].tobytes()
             other_xs = np.vstack([o1.xs[~own], o2.xs])
             other_fs = np.vstack([o1.fs[~own], o2.fs])

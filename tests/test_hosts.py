@@ -889,8 +889,7 @@ class TestHostsEndToEnd:
         host = make_host(problem, HostConfig(kind=kind, population_size=30),
                          budget, rng)
         elite_x = problem.sample_pareto_set(5, rng)
-        elite = OffspringBatch(elite_x, problem.evaluate_batch(elite_x),
-                               np.full(5, 0, dtype=int))
+        elite = OffspringBatch(elite_x, problem.evaluate_batch(elite_x))
         host.step(elite, budget, rng)
         best_before_norm = host.pop_f.min(axis=0) / problem.nadir
         assert best_before_norm.min() < 0.9  # optimal material survived selection
@@ -922,14 +921,30 @@ class TestHostsEndToEnd:
             o1 = empty
             if len(sizes) % 2:  # injected rows join the pool as well
                 xs = problem.bounds.sample(5, rng)
-                o1 = OffspringBatch(xs, problem.evaluate_batch(xs),
-                                    np.zeros(5, dtype=int))
+                o1 = OffspringBatch(xs, problem.evaluate_batch(xs))
             sizes.append(host.step(o1, budget, rng).size)
             assert host.rank.tolist() == sorted_levels(host.pop_f).tolist()
             assert (np.diff(host.rank) >= 0).all()
             most_fronts = max(most_fronts, int(host.rank.max()) + 1)
         assert sizes == [pop] * 8 + [tail]  # the last step's o2 is cut short
         assert most_fronts > 1
+
+    @pytest.mark.parametrize("estimator", ["running-min", "ut", "drp"])
+    def test_moead_step_on_a_spent_budget_changes_nothing(self, estimator):
+        # no child is paid for and nothing is injected: an empty replacement
+        problem = get_problem("mop2")
+        rng = make_rng(14)
+        budget = EvaluationBudget(60, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="moead", population_size=30),
+                         budget, rng, estimator)
+        empty = OffspringBatch.empty(problem.n, problem.m)
+        host.step(empty, budget, rng)
+        assert budget.exhausted
+        before = (host.pop_x.tobytes(), host.pop_f.tobytes(), host.z_ref.tobytes())
+        o2 = host.step(empty, budget, rng)
+        assert o2.size == 0 and o2.fs.shape == (0, problem.m)
+        assert (host.pop_x.tobytes(), host.pop_f.tobytes(),
+                host.z_ref.tobytes()) == before
 
     def test_budget_exhaustion_mid_step(self):
         problem = get_problem("mop1")
@@ -955,8 +970,7 @@ def constant_moead(objs):
 
 def injected(fs):
     fs = np.atleast_2d(np.asarray(fs, dtype=float))
-    return OffspringBatch(np.full((fs.shape[0], 4), 0.5), fs,
-                          np.zeros(fs.shape[0], dtype=int))
+    return OffspringBatch(np.full((fs.shape[0], 4), 0.5), fs)
 
 
 class TestBaselineEstimators:
