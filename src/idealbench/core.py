@@ -3,9 +3,14 @@ simplex lattices, the evaluation budget and the batches of evaluated rows
 it returns, and the RNG contract.
 
 Everything in this module is pure and operates on plain ``numpy`` arrays of
-float64.  Decision vectors are 1-D arrays of length ``n``; objective vectors
-are 1-D arrays of length ``m``.  Batches are 2-D arrays with one row per
-vector.
+float64, except that ``fast_non_dominated_sort`` builds its dominance
+matrices in one private bool workspace that grows to the largest sort seen
+and is reused by every later call, so a generation's sort does not fault in
+fresh pages.  That is safe because nothing the sort returns aliases the
+workspace, and because each process runs one trial at a time: no two sorts
+of a process overlap.  Decision vectors are 1-D arrays of length ``n``;
+objective vectors are 1-D arrays of length ``m``.  Batches are 2-D arrays
+with one row per vector.
 """
 
 from __future__ import annotations
@@ -83,6 +88,19 @@ def _copies(ranks: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+_workspace = np.empty(0, dtype=bool)
+
+
+def _dominance_workspace(n: int) -> tuple:
+    """Two (n, n) bool views of the sort's private workspace, grown to
+    ``2 n**2`` bytes when it is smaller; their contents are stale."""
+    global _workspace
+    if _workspace.size < 2 * n * n:
+        _workspace = np.empty(2 * n * n, dtype=bool)
+    return (_workspace[:n * n].reshape(n, n),
+            _workspace[n * n:2 * n * n].reshape(n, n))
+
+
 def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     """Partition into dominance fronts (arrays of indices in input order,
     best first); ``fast_non_dominated_sort(objs)[0]`` is the non-dominated
@@ -105,9 +123,11 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     ranks = _dense_ranks(objs)
     # one pairwise compare per objective; an (N, N, m) broadcast reduced
     # over its short last axis is several times slower
-    le = ranks[0][:, None] <= ranks[0][None, :]  # [i, j]: i no worse than j
+    le, tmp = _dominance_workspace(n)  # le[i, j]: i no worse than j
+    np.less_equal(ranks[0][:, None], ranks[0][None, :], out=le)
     for col in ranks[1:]:
-        le &= col[:, None] <= col[None, :]
+        np.less_equal(col[:, None], col[None, :], out=tmp)
+        le &= tmp
     short = np.min_scalar_type(-n - 1)  # signed, holds -n - 1 .. n
     n_dom = le.sum(axis=0, dtype=short) - _copies(ranks, short)
     fronts = [np.flatnonzero(n_dom == 0)]

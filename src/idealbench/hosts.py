@@ -354,22 +354,40 @@ def scalarized_fitness(
     return out
 
 
-def global_replacement(fitness: np.ndarray) -> np.ndarray:
-    """Survivor per subproblem from a (k, pool) fitness matrix whose first k
-    columns are the incumbents: each newcomer goes to the subproblem it fits
-    best, and a subproblem takes its best newcomer (the earliest on ties)
-    when that beats its incumbent."""
-    k = fitness.shape[0]
+def own_fitness(
+    objs: np.ndarray,
+    weights: np.ndarray,
+    z_ref: np.ndarray,
+    scale: np.ndarray,
+) -> np.ndarray:
+    """Tchebycheff fitness of row i under weight vector i alone, shape
+    (len(objs),): the diagonal of ``scalarized_fitness``, from the same
+    products folded in the same objective order."""
+    shifted = (objs - z_ref) / scale
+    terms = np.maximum(weights, WEIGHT_FLOOR) * shifted
+    own = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        np.maximum(own, terms[:, j], out=own)
+    return own
+
+
+def global_replacement(fitness: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Survivor per subproblem, as an index into the k incumbents followed
+    by the newcomers, from the newcomers' (k, newcomers) fitness matrix and
+    each incumbent's fitness under its own weight vector: each newcomer
+    goes to the subproblem it fits best, and a subproblem takes its best
+    newcomer (the earliest on ties) when that beats its incumbent."""
+    k = own.shape[0]
     new_idx = np.arange(k)
-    cand = np.arange(k, fitness.shape[1])
-    home = np.argmin(fitness[:, cand], axis=0)
+    cand = np.arange(fitness.shape[1])
+    home = np.argmin(fitness, axis=0)
     fit = fitness[home, cand]
     order = np.lexsort((cand, fit, home))
     first = np.ones(order.size, dtype=bool)
     first[1:] = home[order[1:]] != home[order[:-1]]
     winners = order[first]
-    better = fit[winners] < fitness[home[winners], home[winners]]
-    new_idx[home[winners[better]]] = cand[winners[better]]
+    better = winners[fit[winners] < own[home[winners]]]
+    new_idx[home[better]] = k + better
     return new_idx
 
 
@@ -451,8 +469,13 @@ class MoeadHost:
         o2 = budget.evaluate(children)
         pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
         pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
-        fitness = scalarized_fitness(pool_f, self.weights, self.z_ref, self._scale())
-        new_idx = global_replacement(fitness)
+        # replacement reads only the newcomers' columns and each incumbent
+        # under its own weight vector, so the (k, k) block is never built
+        scale = self._scale()
+        fitness = scalarized_fitness(pool_f[self.pop_size:], self.weights,
+                                     self.z_ref, scale)
+        own = own_fitness(self.pop_f, self.weights, self.z_ref, scale)
+        new_idx = global_replacement(fitness, own)
         self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
         for batch in (o1, o2):
             if batch.size:

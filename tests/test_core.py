@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,35 @@ class TestSortOracle:
         objs = np.array([[0.0, 1.0], [np.nan, 0.5], [1.0, 0.0]])
         with pytest.raises(ValueError, match="NaN"):
             fast_non_dominated_sort(objs)
+
+
+class TestSortWorkspace:
+    """The sort builds its dominance matrices in a private workspace that
+    later calls reuse."""
+
+    def test_no_state_leaks_between_calls(self):
+        rng = make_rng(615)
+        pool = np.round(rng.random((615, 3)) + rng.random((615, 1)), 3)
+        small = rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], (40, 2))
+        small[10:20] = small[:10]  # equal copies, ties in every column
+        grown = rng.random((700, 3)) + rng.random((700, 1))
+        for objs, count in ((pool, None), (small, None), (grown, 210)):
+            assert_same_fronts(fast_non_dominated_sort(objs, count=count),
+                               reference_fronts(objs, count=count))
+
+    def test_warm_call_allocates_no_dominance_matrix(self):
+        n = 615
+        rng = make_rng(n)
+        objs = rng.random((n, 3)) + rng.random((n, 1))
+        fast_non_dominated_sort(objs)
+        tracemalloc.start()
+        try:
+            fronts = fast_non_dominated_sort(objs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_fronts(fronts, reference_fronts(objs))
+        assert peak < n * n / 4  # one (n, n) bool matrix is n * n bytes
 
 
 class TestBounds:

@@ -14,7 +14,7 @@ from idealbench.generator import get_problem
 from idealbench.hosts import (RANGE_GUARD, UT_BETA, EstimatorConfig,
                               HostConfig, crowding_distance, de_pm_offspring,
                               drp_beta, global_replacement, hv_contributions,
-                              make_host, polynomial_mutation,
+                              make_host, own_fitness, polynomial_mutation,
                               reference_point, scalarized_fitness,
                               simplex_lattice_weights)
 from idealbench.metrics import hv_exact
@@ -550,6 +550,41 @@ def reference_tchebycheff(objs, weights, z_ref, scale):
     return out
 
 
+def reference_global_replacement(fitness):
+    """`global_replacement`'s earlier body, kept as the oracle: it reads a
+    (k, pool) fitness matrix whose first k columns are the incumbents, and
+    their own values on its diagonal."""
+    k = fitness.shape[0]
+    new_idx = np.arange(k)
+    cand = np.arange(k, fitness.shape[1])
+    home = np.argmin(fitness[:, cand], axis=0)
+    fit = fitness[home, cand]
+    order = np.lexsort((cand, fit, home))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = home[order[1:]] != home[order[:-1]]
+    winners = order[first]
+    better = fit[winners] < fitness[home[winners], home[winners]]
+    new_idx[home[winners[better]]] = cand[winners[better]]
+    return new_idx
+
+
+def tchebycheff_inputs(m, layout):
+    """Objective rows (with a NaN row and an inf entry) in the given memory
+    layout, lattice weights that hold zeros, a reference point and a scale."""
+    rng = make_rng(12 + m)
+    k, rows = (100, 300) if m == 2 else (210, 420)
+    weights = simplex_lattice_weights(m, k)  # holds zeros, floored
+    wide = rng.normal(size=(2 * rows, 2 * m)) * 3.0
+    objs = {"contiguous": np.ascontiguousarray(wide[:rows, :m]),
+            "strided": wide[::2, ::2],
+            "fortran": np.asfortranarray(wide[:rows, :m])}[layout]
+    objs[5] = np.nan  # NaN and inf rows propagate as before
+    objs[7, 0] = np.inf
+    assert objs.flags.c_contiguous == (layout == "contiguous")
+    z_ref, scale = rng.normal(size=m), rng.random(m) + 0.1
+    return objs, weights, z_ref, scale
+
+
 class TestWeightsAndScalarization:
     def test_two_objective_lattice(self):
         w = simplex_lattice_weights(2, 100)
@@ -590,20 +625,21 @@ class TestWeightsAndScalarization:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
     def test_tchebycheff_bytes_match_per_objective_loop(self, m, layout):
-        rng = make_rng(12 + m)
-        k, rows = (100, 300) if m == 2 else (210, 420)
-        weights = simplex_lattice_weights(m, k)  # holds zeros, floored
-        wide = rng.normal(size=(2 * rows, 2 * m)) * 3.0
-        objs = {"contiguous": np.ascontiguousarray(wide[:rows, :m]),
-                "strided": wide[::2, ::2],
-                "fortran": np.asfortranarray(wide[:rows, :m])}[layout]
-        objs[5] = np.nan  # NaN and inf rows propagate as before
-        objs[7, 0] = np.inf
-        assert objs.flags.c_contiguous == (layout == "contiguous")
-        z_ref, scale = rng.normal(size=m), rng.random(m) + 0.1
+        objs, weights, z_ref, scale = tchebycheff_inputs(m, layout)
         got = scalarized_fitness(objs, weights, z_ref, scale)
         want = reference_tchebycheff(objs, weights, z_ref, scale)
-        assert got.shape == want.shape == (k, rows)
+        assert got.shape == want.shape == ((100, 300) if m == 2 else (210, 420))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_own_fitness_bytes_match_the_diagonal(self, m, layout):
+        objs, weights, z_ref, scale = tchebycheff_inputs(m, layout)
+        k = len(weights)
+        assert np.isnan(objs[5]).all() and np.isinf(objs[7, 0]) and k > 7
+        got = own_fitness(objs[:k], weights, z_ref, scale)
+        want = np.diagonal(reference_tchebycheff(objs, weights, z_ref, scale))
+        assert got.shape == want.shape == (k,)
         assert got.tobytes() == want.tobytes()
 
     def test_global_replacement_matches_sequential_rule(self):
@@ -617,7 +653,9 @@ class TestWeightsAndScalarization:
                 home = int(np.argmin(fitness[:, c]))
                 if fitness[home, c] < best[home]:
                     best[home], new_idx[home] = fitness[home, c], c
-            assert np.array_equal(global_replacement(fitness), new_idx)
+            got = global_replacement(fitness[:, k:], np.diagonal(fitness))
+            assert np.array_equal(got, new_idx)
+            assert np.array_equal(got, reference_global_replacement(fitness))
 
 
 class TestIndicatorSelection:
