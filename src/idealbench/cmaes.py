@@ -84,18 +84,25 @@ def _selection_weights(lam: int, n: int) -> types.MappingProxyType:
     weights = np.concatenate([w_pos, w_neg])
     w_pos.setflags(write=False)
     weights.setflags(write=False)
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
     return types.MappingProxyType(dict(
         mu=mu, weights=w_pos, all_weights=weights, mu_eff=mu_eff,
         c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c, c_1=c_1, c_mu=c_mu,
+        # the weights fall strictly, so the negative ones are a suffix
+        negative_from=weights.size - int(np.count_nonzero(weights < 0)),
+        ps_gain=math.sqrt(c_sigma * (2.0 - c_sigma) * mu_eff),  # path gains
+        pc_gain=math.sqrt(c_c * (2.0 - c_c) * mu_eff),
+        # the covariance's decay factor, indexed by h_sigma
+        cov_decay=tuple(1.0 + c_1 * ((1.0 - float(h)) * c_c * (2.0 - c_c))
+                        - c_1 - c_mu * float(weights.sum()) for h in (False, True)),
+        chi_n=chi_n, h_limit=(1.4 + 2.0 / (n + 1.0)) * chi_n,
+        scale_rate=min(1.0, c_mu * (n + 2) / 3.0),
     ))
 
 
 def _well_conditioned(eigvals: np.ndarray) -> bool:
-    return bool(eigvals[0] > 0 and eigvals[-1] <= MAX_CONDITION * eigvals[0])
-
-
-def _chi_n(n: int) -> float:
-    return math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+    low, top = eigvals.item(0), eigvals.item(-1)
+    return low > 0 and top <= MAX_CONDITION * low
 
 
 def _regularized_cov(points: np.ndarray) -> np.ndarray:
@@ -111,6 +118,15 @@ def _regularized_cov(points: np.ndarray) -> np.ndarray:
         var = points.var(axis=0) if points.shape[0] > 1 else np.zeros(n)
         cov = np.diag(var + floor)
     return cov
+
+
+def _scored(xs, fitness, kind: str) -> tuple:
+    xs = np.asarray(xs, dtype=float)
+    xs = xs if xs.ndim == 2 else np.atleast_2d(xs)
+    fitness = np.asarray(fitness, dtype=float)
+    if fitness.shape != (xs.shape[0],):
+        raise ValueError(f"{xs.shape[0]} {kind}candidates but {fitness.size} fitness values")
+    return xs, fitness
 
 
 class CmaProcedure:
@@ -194,35 +210,35 @@ class CmaProcedure:
         capping the widest axes, which at that point carry (near-)neutral
         spread.
         """
-        if not np.isfinite(self.cov).all():
-            diag = self.cov.diagonal().copy()
+        cov = self.cov
+        # a finite sum has finite terms; an overflowing one is checked in full
+        if not math.isfinite(np.add.reduce(cov, None)) and not np.isfinite(cov).all():
+            diag = cov.diagonal().copy()
             diag[~np.isfinite(diag)] = 1.0
-            self.cov = np.diag(np.maximum(diag, 1e-300))
-        self.cov = 0.5 * (self.cov + self.cov.T)
-        eigvals, eigvecs = np.linalg.eigh(self.cov)
+            cov = np.diag(np.maximum(diag, 1e-300))
+        cov = 0.5 * (cov + cov.T)
+        eigvals, eigvecs = np.linalg.eigh(cov)
         if not _well_conditioned(eigvals):
-            d = np.sqrt(np.maximum(self.cov.diagonal(), self._resolution(eigvals)))
+            d = np.sqrt(np.maximum(cov.diagonal(), self._resolution(eigvals)))
             self.scales = self.scales * d
-            self.cov = self.cov / (d[:, None] * d)
-            self.cov = 0.5 * (self.cov + self.cov.T)
-            eigvals, eigvecs = np.linalg.eigh(self.cov)
+            # stays exactly symmetric: no second symmetrization is needed
+            cov = cov / (d[:, None] * d)
+            eigvals, eigvecs = np.linalg.eigh(cov)
             if not _well_conditioned(eigvals):
-                fine = max(float(eigvals[0]), self._resolution(eigvals))
-                eigvals = np.clip(eigvals, fine, fine * MAX_CONDITION)
-                self.cov = (eigvecs * eigvals) @ eigvecs.T
-                self.cov = 0.5 * (self.cov + self.cov.T)
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
+                fine = max(eigvals.item(0), self._resolution(eigvals))
+                # np.clip, without its dispatch; the bounds are positive
+                eigvals = np.minimum(np.maximum(eigvals, fine), fine * MAX_CONDITION)
+                cov = (eigvecs * eigvals) @ eigvecs.T
+                cov = 0.5 * (cov + cov.T)
+        self.cov = cov
+        self._eigvals, self._eigvecs = eigvals, eigvecs
         self._sqrt_eigvals = np.sqrt(eigvals)
+        # the columns of S B: the sampling axes before sigma and sqrt(eigvals)
+        self._axes = self.scales[:, None] * eigvecs
 
     def _resolution(self, eigvals: np.ndarray) -> float:
         """Smallest eigenvalue a stored covariance resolves next to its top."""
-        return max(float(eigvals[-1]) * EIGEN_RESOLUTION * self.n, 1e-300)
-
-    def _cov_inv_sqrt_apply(self, v: np.ndarray) -> np.ndarray:
-        """Whiten a step: the inverse of the sampling transform S C^{1/2}."""
-        b, d = self._eigvecs, self._sqrt_eigvals
-        return b @ ((b.T @ (v / self.scales)) / d)
+        return max(eigvals.item(-1) * EIGEN_RESOLUTION * self.n, 1e-300)
 
     @property
     def axis_sd(self) -> np.ndarray:
@@ -232,8 +248,8 @@ class CmaProcedure:
     @property
     def axis_lengths(self) -> np.ndarray:
         """Lengths of the sampling axes, the columns of sigma S C^{1/2}."""
-        axes = self.scales[:, None] * self._eigvecs
-        return self.sigma * self._sqrt_eigvals * np.linalg.norm(axes, axis=0)
+        axes = self._axes  # linalg.norm(axes, axis=0), without its dispatch
+        return self.sigma * self._sqrt_eigvals * np.sqrt(np.add.reduce(axes * axes, axis=0))
 
     @property
     def takes_injections(self) -> bool:
@@ -248,113 +264,96 @@ class CmaProcedure:
         if not self.live:
             raise RuntimeError("procedure has stopped")
         z = rng.standard_normal((self.lam, self.n))
-        xs = self.mean + self.sigma * self.scales * (
-            (z * self._sqrt_eigvals) @ self._eigvecs.T
-        )
+        xs = self.mean + self.sigma * self.scales * ((z * self._sqrt_eigvals)
+                                                     @ self._eigvecs.T)
         return clamp_to_bounds(xs, self.bounds)
 
-    def tell(
-        self,
-        xs: np.ndarray,
-        fitness: np.ndarray,
-        injected_xs: np.ndarray | None = None,
-        injected_fitness: np.ndarray | None = None,
-    ) -> frozenset:
+    def tell(self, xs: np.ndarray, fitness: np.ndarray,
+             injected_xs: np.ndarray | None = None,
+             injected_fitness: np.ndarray | None = None) -> frozenset:
         """One generation update from scored candidates.
 
         Injected candidates join the selection pool only while the
         population size sits at its lower bound; their implied steps are
-        length-clipped before they can enter the covariance update.
+        length-clipped before they can enter the covariance update.  Fewer
+        or more fitness values than candidates raise before any change.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        fitness = np.asarray(fitness, dtype=float)
-        injected_flag = None  # per candidate, once something is injected
-        if injected_xs is not None and len(injected_xs) > 0 and self.takes_injections:
-            injected_xs = np.atleast_2d(np.asarray(injected_xs, dtype=float))
-            injected_fitness = np.asarray(injected_fitness, dtype=float)
-            injected_flag = np.concatenate([np.zeros(xs.shape[0], dtype=bool),
-                                            np.ones(injected_xs.shape[0], dtype=bool)])
-            xs = np.vstack([xs, injected_xs])
-            fitness = np.concatenate([fitness, injected_fitness])
+        xs, fitness = _scored(xs, fitness, "")
+        own = xs.shape[0]  # the rows after these are injected
+        if injected_xs is not None and len(injected_xs) > 0:
+            inj_xs, inj_fs = _scored(injected_xs, injected_fitness, "injected ")
+            if self.takes_injections:
+                xs = np.concatenate((xs, inj_xs))
+                fitness = np.concatenate((fitness, inj_fs))
 
         finite = np.isfinite(fitness)
-        if not finite.all():
+        if np.count_nonzero(finite) < finite.size:
             warnings.warn("discarding candidates with non-finite fitness")
+            own = int(np.count_nonzero(finite[:own]))
             xs, fitness = xs[finite], fitness[finite]
-            if injected_flag is not None:
-                injected_flag = injected_flag[finite]
         if xs.shape[0] == 0:
             return self.check_stop()
 
         lam_sel = min(self.lam, xs.shape[0])
-        order = np.argsort(fitness, kind="stable")[:lam_sel]
+        order = fitness.argsort(kind="stable")[:lam_sel]
         params = _selection_weights(lam_sel, self.n)
-        mu, w = params["mu"], params["weights"]
-        w_all = params["all_weights"]
-        mu_eff = params["mu_eff"]
+        mu, w, w_all = params["mu"], params["weights"], params["all_weights"]
         c_sigma, d_sigma = params["c_sigma"], params["d_sigma"]
         c_c, c_1, c_mu = params["c_c"], params["c_1"], params["c_mu"]
-        chi_n = _chi_n(self.n)
 
-        old_mean = self.mean
-        old_sigma = self.sigma
-        selected = xs[order]
+        old_mean, old_sigma = self.mean, self.sigma
+        selected = xs.take(order, axis=0)
         steps = (selected - old_mean) / old_sigma
-        white_sq = np.sum(
-            (((steps / self.scales) @ self._eigvecs) / self._sqrt_eigvals) ** 2,
-            axis=1,
-        )
-        if injected_flag is not None:
+        scaled = steps / self.scales  # in the covariance's coordinates
+        white = (scaled @ self._eigvecs) / self._sqrt_eigvals
+        white_sq = np.add.reduce(white * white, axis=1)
+        if own < xs.shape[0]:
             cap = INJECTION_CLIP * math.sqrt(self.n)
-            clip = injected_flag[order] & (white_sq > cap * cap)
-            steps[clip] *= (cap / np.sqrt(white_sq[clip]))[:, None]
-            white_sq[clip] = cap * cap
+            clip = (order >= own) & (white_sq > cap * cap)
+            if np.count_nonzero(clip):
+                steps[clip] *= (cap / np.sqrt(white_sq[clip]))[:, None]
+                scaled[clip] = steps[clip] / self.scales
+                white_sq[clip] = cap * cap
 
         step_w = w @ steps[:mu]
         self.mean = old_mean + old_sigma * step_w
 
-        csn = self._cov_inv_sqrt_apply(step_w)
-        self.p_sigma = (1.0 - c_sigma) * self.p_sigma + math.sqrt(
-            c_sigma * (2.0 - c_sigma) * mu_eff
-        ) * csn
+        b = self._eigvecs  # whiten the mean step: invert the sampling map S C^{1/2}
+        csn = b @ ((b.T @ (step_w / self.scales)) / self._sqrt_eigvals)
+        self.p_sigma = (1.0 - c_sigma) * self.p_sigma + params["ps_gain"] * csn
         ps_norm = math.sqrt(self.p_sigma @ self.p_sigma)
         denom = math.sqrt(1.0 - (1.0 - c_sigma) ** (2 * (self.generation + 1)))
-        h_sigma = ps_norm / denom < (1.4 + 2.0 / (self.n + 1.0)) * chi_n
-        self.p_c = (1.0 - c_c) * self.p_c + (
-            math.sqrt(c_c * (2.0 - c_c) * mu_eff) * step_w if h_sigma else 0.0
-        )
+        h_sigma = ps_norm / denom < params["h_limit"]
+        self.p_c = (1.0 - c_c) * self.p_c + (params["pc_gain"] * step_w
+                                             if h_sigma else 0.0)
 
         # negative weights are rescaled per candidate to bound the update
+        size, neg = w_all.size, params["negative_from"]
         w_circle = w_all.copy()
-        negative = w_circle < 0
-        w_circle[negative] *= self.n / np.maximum(white_sq[: len(w_all)][negative], 1e-30)
+        w_circle[neg:] *= self.n / np.maximum(white_sq[neg:size], 1e-30)
         # the covariance lives in scaled coordinates, and so do its updates
-        used = steps[: len(w_all)] / self.scales
+        used = scaled[:size]
         rank_mu = (used * w_circle[:, None]).T @ used
         p_c = self.p_c / self.scales
-        delta_h = (1.0 - float(h_sigma)) * c_c * (2.0 - c_c)
         old_cov = self.cov
-        self.cov = (
-            (1.0 + c_1 * delta_h - c_1 - c_mu * float(w_all.sum())) * old_cov
-            + c_1 * (p_c[:, None] * p_c)
-            + c_mu * rank_mu
-        )
+        self.cov = (params["cov_decay"][h_sigma] * old_cov
+                    + c_1 * (p_c[:, None] * p_c) + c_mu * rank_mu)
         self.sigma = old_sigma * math.exp(
-            min(1.0, (c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
-        )
+            min(1.0, (c_sigma / d_sigma) * (ps_norm / params["chi_n"] - 1.0)))
 
-        self.best_history.append(float(fitness[order[0]]))
-        self._last_fitness = fitness[order]
+        ranked = fitness[order]
+        self.best_history.append(ranked.item(0))
+        self._last_fitness = ranked
         self.generation += 1
 
         self._adapt_lambda(old_mean, old_sigma, params)
-        selected = selected[: len(w_all)]
+        selected = selected[:size]
         clamped = (selected == self.bounds.lower) | (selected == self.bounds.upper)
-        self._accelerate_diagonal(used, clamped, w_circle, c_mu, old_cov)
+        self._accelerate_diagonal(used, clamped, w_circle, params["scale_rate"], old_cov)
         self._refresh_eigen()
         return self.check_stop()
 
-    def _accelerate_diagonal(self, steps, clamped, weights, c_mu, cov) -> None:
+    def _accelerate_diagonal(self, steps, clamped, weights, rate, cov) -> None:
         """Diagonal acceleration (Akimoto & Hansen, "Diagonal acceleration
         for covariance matrix adaptation evolution strategies", Evolutionary
         Computation 28(3), 2020).
@@ -372,10 +371,11 @@ class CmaProcedure:
         sd = np.sqrt(cov.diagonal())
         corr = np.linalg.eigvalsh(cov / (sd[:, None] * sd))
         damping = max(1.0, math.sqrt(corr[-1] / max(corr[0], 1e-300)) - 1.0)
-        rate = min(1.0, c_mu * (self.n + 2) / 3.0)
-        excess = np.where(clamped, 0.0, (steps / sd) ** 2 - 1.0)
+        excess = (steps / sd) ** 2 - 1.0
+        np.copyto(excess, 0.0, where=clamped)
         change = rate * (weights @ excess) / (2.0 * damping)
-        self.scales = self.scales * np.exp(np.clip(change, -1.0, 1.0))
+        # np.clip, without its dispatch; the bounds are not zero
+        self.scales = self.scales * np.exp(np.minimum(np.maximum(change, -1.0), 1.0))
 
     def _adapt_lambda(self, old_mean, old_sigma, params) -> None:
         """Population-size adaptation from an evolution path over the
@@ -401,9 +401,8 @@ class CmaProcedure:
         elif u_norm > 10.0:
             u *= 10.0 / u_norm
         beta = PSA_BETA
-        self._psa_path = (1.0 - beta) * self._psa_path + math.sqrt(
-            beta * (2.0 - beta)
-        ) * u
+        self._psa_path = ((1.0 - beta) * self._psa_path
+                          + math.sqrt(beta * (2.0 - beta)) * u)
         self._psa_warmup = (1.0 - beta) ** 2 * self._psa_warmup + beta * (2.0 - beta)
         norm_sq = float(self._psa_path @ self._psa_path)
         exponent = beta * (self._psa_warmup - min(norm_sq, 100.0) / PSA_ALPHA)
@@ -417,32 +416,33 @@ class CmaProcedure:
         current state; none fire before the first generation."""
         if self.generation == 0:
             return frozenset()
-        triggered = set()
+        triggered = []
         mean, sigma = self.mean, self.sigma
-        d, b = self._sqrt_eigvals, self.scales[:, None] * self._eigvecs
-
+        d, b = self._sqrt_eigvals, self._axes
+        # each no-effect test first tries one entry: if it moves, none fire
+        m, col = mean.item(0), mean[:, None]
         # column i is axis i's step, associated as (0.1 * sigma * d[i]) * b[:, i]
-        if (mean[:, None] == mean[:, None] + (0.1 * sigma * d) * b).all():
-            triggered.add("NoEffectAxis")
+        if (m + 0.1 * sigma * d.item(-1) * b.item(0, -1) == m
+                and (col == col + (0.1 * sigma * d) * b).all()):
+            triggered.append("NoEffectAxis")
 
         diag_sd = self.axis_sd
-        if (mean == mean + 0.2 * diag_sd).all():
-            triggered.add("NoEffectCoord")
+        if m + 0.2 * diag_sd.item(0) == m and (mean == mean + 0.2 * diag_sd).all():
+            triggered.append("NoEffectCoord")
 
         hist_len = 10 + math.ceil(30 * self.n / self.lam)
-        if len(self.best_history) >= hist_len and self._last_fitness.size:
+        last = self._last_fitness  # sorted: the last generation's selection
+        if len(self.best_history) >= hist_len and last.size:
             window = list(self.best_history)[-hist_len:]
-            vals = np.concatenate([window, self._last_fitness])
-            flat = float(vals.max() - vals.min()) < 1e-3
-            if (
-                flat
-                and (diag_sd < 1e-6 * self.sigma0).all()
-                and (sigma * np.abs(self.p_c) < 1e-6 * self.sigma0).all()
-            ):
-                triggered.add("TolFunTolX")
+            flat = max(max(window), last.item(-1)) - min(min(window), last.item(0)) < 1e-3
+            if (flat and (diag_sd < 1e-6 * self.sigma0).all()
+                    and (sigma * np.abs(self.p_c) < 1e-6 * self.sigma0).all()):
+                triggered.append("TolFunTolX")
 
-        if (np.sort(self.axis_lengths) > self._tolxup_limit).any():
-            triggered.add("TolXUp")
+        lengths = self.axis_lengths
+        lengths.sort()
+        if np.count_nonzero(lengths > self._tolxup_limit):
+            triggered.append("TolXUp")
 
         return frozenset(triggered)
 

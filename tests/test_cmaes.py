@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import statistics
 import warnings
 
@@ -195,6 +196,28 @@ class TestTell:
         # the far candidate never entered the pool, so the mean stays local
         assert np.linalg.norm(proc.mean - before) < 10.0
 
+    @pytest.mark.parametrize("rows, values, injected_rows, injected_values", [
+        (9, 8, 0, 0),  # own fitness shorter than the candidates
+        (9, 10, 0, 0),  # and longer
+        (9, 9, 3, 2),  # injected candidates with too few fitness values
+        (9, 9, 2, 3),  # and too many
+    ])
+    def test_mismatched_lengths_rejected_before_any_change(
+            self, rows, values, injected_rows, injected_values):
+        proc, rng = fresh_procedure(13)
+        proc.lam = proc.lambda_default  # injection gate open
+        xs = proc.ask(rng)
+        assert len(xs) == rows
+        fs = np.resize(sphere(xs), values)
+        inj = proc.mean + rng.standard_normal((injected_rows, 7))
+        inj_fs = np.resize(sphere(inj), injected_values) if injected_rows else None
+        before = pickle.dumps(proc.__dict__)
+        bad = (rows, values) if rows != values else (injected_rows, injected_values)
+        with pytest.raises(ValueError, match=rf"\b{bad[0]} .*candidates but {bad[1]} "):
+            proc.tell(xs, fs, injected_xs=inj if injected_rows else None,
+                      injected_fitness=inj_fs)
+        assert pickle.dumps(proc.__dict__) == before
+
     def test_non_finite_fitness_discarded(self):
         proc, rng = fresh_procedure(10)
         xs = proc.ask(rng)
@@ -375,6 +398,18 @@ class TestStopping:
         proc.p_c = np.zeros(7)
         proc._refresh_eigen()
         assert "TolFunTolX" in proc.check_stop()
+
+    def test_flatness_counts_the_last_generation(self):
+        proc, rng = fresh_procedure(20)
+        for gen in range(50):
+            xs = proc.ask(rng)
+            # every best value is 0, but the last generation spreads to 1
+            proc.tell(xs, np.zeros(len(xs)) if gen < 49 else np.linspace(0, 1, len(xs)))
+        proc.sigma = 1e-12
+        proc.cov = np.eye(7) * 1e-12
+        proc.p_c = np.zeros(7)
+        proc._refresh_eigen()
+        assert "TolFunTolX" not in proc.check_stop()
 
     def test_never_triggers_while_improving(self):
         proc, rng = fresh_procedure(21)
