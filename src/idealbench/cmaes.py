@@ -211,8 +211,7 @@ class CmaProcedure:
         spread.
         """
         cov = self.cov
-        # a finite sum has finite terms; an overflowing one is checked in full
-        if not math.isfinite(np.add.reduce(cov, None)) and not np.isfinite(cov).all():
+        if not np.isfinite(cov).all():
             diag = cov.diagonal().copy()
             diag[~np.isfinite(diag)] = 1.0
             cov = np.diag(np.maximum(diag, 1e-300))
