@@ -121,8 +121,7 @@ def _regularized_cov(points: np.ndarray) -> np.ndarray:
 
 
 def _scored(xs, fitness, kind: str) -> tuple:
-    xs = np.asarray(xs, dtype=float)
-    xs = xs if xs.ndim == 2 else np.atleast_2d(xs)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fitness = np.asarray(fitness, dtype=float)
     if fitness.shape != (xs.shape[0],):
         raise ValueError(f"{xs.shape[0]} {kind}candidates but {fitness.size} fitness values")
@@ -263,8 +262,9 @@ class CmaProcedure:
         if not self.live:
             raise RuntimeError("procedure has stopped")
         z = rng.standard_normal((self.lam, self.n))
-        xs = self.mean + self.sigma * self.scales * ((z * self._sqrt_eigvals)
-                                                     @ self._eigvecs.T)
+        xs = self.mean + self.sigma * self.scales * (
+            (z * self._sqrt_eigvals) @ self._eigvecs.T
+        )
         return clamp_to_bounds(xs, self.bounds)
 
     def tell(self, xs: np.ndarray, fitness: np.ndarray,
@@ -400,8 +400,9 @@ class CmaProcedure:
         elif u_norm > 10.0:
             u *= 10.0 / u_norm
         beta = PSA_BETA
-        self._psa_path = ((1.0 - beta) * self._psa_path
-                          + math.sqrt(beta * (2.0 - beta)) * u)
+        self._psa_path = (1.0 - beta) * self._psa_path + math.sqrt(
+            beta * (2.0 - beta)
+        ) * u
         self._psa_warmup = (1.0 - beta) ** 2 * self._psa_warmup + beta * (2.0 - beta)
         norm_sq = float(self._psa_path @ self._psa_path)
         exponent = beta * (self._psa_warmup - min(norm_sq, 100.0) / PSA_ALPHA)
@@ -418,7 +419,7 @@ class CmaProcedure:
         triggered = []
         mean, sigma = self.mean, self.sigma
         d, b = self._sqrt_eigvals, self._axes
-        # each no-effect test first tries one entry: if it moves, none fire
+        # each no-effect test first tries one entry: if that moves, it cannot fire
         m, col = mean.item(0), mean[:, None]
         # column i is axis i's step, associated as (0.1 * sigma * d[i]) * b[:, i]
         if (m + 0.1 * sigma * d.item(-1) * b.item(0, -1) == m
