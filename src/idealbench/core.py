@@ -159,10 +159,17 @@ def simplex_lattice(m: int, h: int) -> np.ndarray:
     raise ValueError("simplex lattices support m in {2, 3}")
 
 
+def float_rows(a) -> np.ndarray:
+    """``a`` as a 2-D float array: ``a`` itself when it already is one."""
+    if type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=float))
+
+
 def clamp_to_bounds(x: np.ndarray, bounds: BoxBounds) -> np.ndarray:
-    """Project a decision vector (or a batch of rows) into the box."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(x, bounds.lower, bounds.upper)
+    """Project a decision vector (or a batch of rows) into the box: NumPy's
+    clip, through the array method, which skips ``np.clip``'s dispatch."""
+    return np.asarray(x, dtype=float).clip(bounds.lower, bounds.upper)
 
 
 @dataclass
@@ -206,7 +213,7 @@ class EvaluationBudget:
         """Evaluate as many rows of ``xs`` as the budget allows: the paid
         prefix and its objective values, no rows (of width m) when none is
         paid for."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = float_rows(xs)
         take = min(xs.shape[0], self.remaining)
         paid = xs[:take]
         out = OffspringBatch(paid, self._eval(paid))

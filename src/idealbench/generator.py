@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BoxBounds, simplex_lattice
+from .core import BoxBounds, float_rows, simplex_lattice
 
 _THIRD = 1.0 / 3.0
 
@@ -129,8 +129,8 @@ class GeneratorParams:
 
     @cached_property
     def remap_frame(self) -> tuple:
-        """``_remap``'s centres, coefficients and exponent for ``chat_vals``
-        and ``gamma``."""
+        """``_remap``'s centre, branch centres, coefficients and exponent for
+        ``chat_vals`` and ``gamma``."""
         *arrays, g = _remap_frame(self.chat_vals, self.gamma)
         return (*map(_frozen, arrays), g)
 
@@ -166,8 +166,14 @@ def _groups(count: int, size: int) -> tuple:
 def _group_means(block: np.ndarray, groups: tuple) -> np.ndarray:
     # ndarray.mean is exactly add.reduce, then a division by the count; calling
     # them directly skips NumPy's Python-level wrapper (not @: BLAS sums in a
-    # different order)
-    out = np.empty((block.shape[0], len(groups)))
+    # different order).  NumPy sums fewer than 8 terms one after another from
+    # 0.0, whatever the order it visits the rows in, so groups of equal size
+    # below 8 take one reduce over the (k, size, groups) view of the block
+    k, width = block.shape
+    size, left = divmod(width, len(groups))
+    if not left and size < 8:
+        return np.add.reduce(block.reshape(k, size, len(groups)), axis=1) / size
+    out = np.empty((k, len(groups)))
     for i, (sl, count) in enumerate(groups):
         out[:, i] = np.add.reduce(block[:, sl], axis=1) / count
     return out
@@ -197,38 +203,42 @@ def chat(c_pos) -> np.ndarray:
 
 
 def _remap_frame(chat_vals, gamma: float) -> tuple:
+    """The centre ``c``, the two branches' centres and coefficients stacked
+    on a last axis of 2 (below, above), and the exponent."""
     c = np.asarray(chat_vals, dtype=float)
     g = float(gamma)
     # 2^g / c^(g-1) rewritten as 2^g * c^(1-g) so degenerate centers stay finite
     coef_lo = 2.0**g * np.power(c, 1.0 - g)
     coef_hi = 2.0**g * np.power(1.0 - c, 1.0 - g)
-    return c, c / 2.0, (1.0 + c) / 2.0, coef_lo, coef_hi, g
+    return (c, np.stack((c / 2.0, (1.0 + c) / 2.0), axis=-1),
+            np.stack((coef_lo, coef_hi), axis=-1), g)
 
 
-def _remap(sig: np.ndarray, c: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
-           coef_lo: np.ndarray, coef_hi: np.ndarray, g: float) -> np.ndarray:
+def _remap(sig: np.ndarray, c: np.ndarray, centres: np.ndarray,
+           coefs: np.ndarray, g: float) -> np.ndarray:
     """Biased remapping of group means into [0,1].
 
     Below the center the value is pulled toward the center with a power-law
     plateau (minimum 0 at sigma = chat/2); above it the mirrored branch peaks
     at 1 at sigma = (1+chat)/2; sigma in {0, 1} lands back on chat, so the
-    extremes of the output cannot be reached by clamping the inputs.
+    extremes of the output cannot be reached by clamping the inputs.  Both
+    branches are computed in one pass over a last axis of 2.
     """
-    lo = coef_lo * np.abs(sig - c_lo) ** g
-    hi = 1.0 - coef_hi * np.abs(sig - c_hi) ** g
-    return np.where(sig < c, lo, np.where(sig > c, hi, sig))
+    term = coefs * np.abs(sig[..., None] - centres) ** g
+    return np.where(sig < c, term[..., 0], np.where(sig > c, 1.0 - term[..., 1], sig))
 
 
 def simplex_map(xhat: np.ndarray) -> np.ndarray:
     """Chain m-1 values in [0,1] into a point on the unit simplex."""
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     k, m1 = xhat.shape
+    # y_i = (1 - xhat_i) * prod_{j < i} xhat_j and y_m1 = prod_j xhat_j: the
+    # running products (np.cumprod's), led by 1, times (1 - xhat) in all but
+    # the last column
     y = np.empty((k, m1 + 1))
-    prod = np.cumprod(xhat, axis=1)
-    y[:, 0] = 1.0 - xhat[:, 0]
-    for i in range(1, m1):
-        y[:, i] = (1.0 - xhat[:, i]) * prod[:, i - 1]
-    y[:, m1] = prod[:, m1 - 1]
+    y[:, 0] = 1.0
+    np.multiply.accumulate(xhat, axis=1, out=y[:, 1:])
+    y[:, :m1] *= 1.0 - xhat
     return y
 
 
@@ -321,11 +331,14 @@ def _distance_from_y(
 
 def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
     """Objective vectors for a batch of decision vectors, shape (k, m)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = float_rows(x)
     if x.shape[1] != params.n:
         raise ValueError(f"expected {params.n} variables, got {x.shape[1]}")
+    # inside the box, a test that NaN fails too: it holds no compare
     lower, upper = params.bounds_tolerance
-    if (x < lower).any() or (x > upper).any():
+    inside = x >= lower
+    inside &= x <= upper
+    if not np.logical_and.reduce(inside, axis=None):
         raise ValueError("decision vector outside the box bounds")
     x_pos, x_dist = x[:, : params.s], x[:, params.s :]
     h, y = position_value(x_pos, params)

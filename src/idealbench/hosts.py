@@ -12,12 +12,14 @@ offspring into their selection step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (BoxBounds, EvaluationBudget, OffspringBatch,
-                   clamp_to_bounds, fast_non_dominated_sort, simplex_lattice)
+                   clamp_to_bounds, fast_non_dominated_sort, float_rows,
+                   simplex_lattice)
 # hv_exact is not called here; the benchmark's tracer looks it up in hosts
 from .metrics import hv_exact, hv_sweep  # noqa: F401
 
@@ -74,14 +76,17 @@ def polynomial_mutation(
 
     Two (k, n) uniform draws decide which entries mutate and by how much;
     the step is computed only at the entries that mutate (about k of the
-    k * n), as contiguous 1-D arrays.  Its powers stay NumPy's: Python's
-    scalar ``**`` can differ from them in the last place.
+    k * n), as contiguous 1-D arrays.  When none mutates, the second draw
+    is still taken and the result is the clamped input.  Its powers stay
+    NumPy's: Python's scalar ``**`` can differ from them in the last place.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = float_rows(xs)
     k, n = xs.shape
     apply = rng.random((k, n)) < 1.0 / n
     u = rng.random((k, n))
     rows, cols = np.nonzero(apply)
+    if not rows.size:
+        return clamp_to_bounds(xs, bounds)
     x, u = xs[rows, cols], u[rows, cols]
     lo, hi = bounds.lower[cols], bounds.upper[cols]
     span = hi - lo
@@ -110,13 +115,14 @@ def de_pm_offspring(
 
     All three parent arguments are (k, n) batches; rows pair up.
     """
-    base = np.atleast_2d(np.asarray(base, dtype=float))
+    base = float_rows(base)
     k, n = base.shape
-    mutant = base + DE_F * (np.atleast_2d(diff_a) - np.atleast_2d(diff_b))
+    mutant = base + DE_F * np.subtract(diff_a, diff_b)
     cross = rng.random((k, n)) < DE_CR
-    cross[np.arange(k), rng.integers(0, n, size=k)] = True
-    child = np.where(cross, mutant, base)
-    child = clamp_to_bounds(child, bounds)
+    # one forced column per row: for one row a scalar draw, which takes the
+    # same word as size=1 for a fraction of the call's cost
+    cross[np.arange(k), rng.integers(0, n, size=k if k > 1 else None)] = True
+    child = clamp_to_bounds(np.where(cross, mutant, base), bounds)
     return polynomial_mutation(child, rng, bounds)
 
 
@@ -488,6 +494,24 @@ class MoeadHost:
 # -- indicator-based host ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_words(k: int) -> tuple:
+    """The words of ``hv_contributions`` that depend on k alone, shaped to
+    broadcast over its [word, p, q] arrays: [word, 1, q] holds bit r when
+    r < q, [word, p, 1] when r != p; then the [p, q] mask of p != q and
+    the box ends 1..k.  Cached per k and shared, so read-only."""
+    idx = np.arange(k)
+    bits = np.zeros((2, k, -(-k // 64) * 64), dtype=bool)
+    np.less(idx, idx[:, None], out=bits[0, :, :k])
+    np.not_equal(idx, idx[:, None], out=bits[1, :, :k])
+    packed = np.packbits(bits, axis=2).view(np.uint64).transpose(0, 2, 1).copy()
+    words = (packed[0][:, None, :], packed[1][:, :, None], bits[1, :, :k].copy(),
+             idx + 1)
+    for a in words:
+        a.flags.writeable = False
+    return words
+
+
 def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Exclusive hypervolume contribution of each point, for 2 or 3
     objectives.
@@ -501,49 +525,50 @@ def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     p)`` exactly when ``r <= max(q, p)``, the rule needs, per objective j
     and point s, only the sets of r with ``r_j <= s_j`` and ``r_j < s_j``.
     Packed 64 r to a word, they reduce the boxes of all points at once in
-    a few word-wise operations on (words, k, k) arrays.  The survivors are
+    a few word-wise operations on (words, k, k) arrays; the words that
+    depend on k alone are built once per k.  The survivors are
     clamped and filtered in one pass, and each box is swept on Python
     floats by ``metrics.hv_sweep``.  The result is bit-identical to the
     earlier two-sweep reduction, which the tests keep as an oracle.
     """
-    objs = np.atleast_2d(np.asarray(objs, dtype=float))
+    objs = float_rows(objs)
     ref = np.asarray(ref, dtype=float)
     k, m = objs.shape
-    cols, idx = objs.T, np.arange(k)
-    # row s of each set holds bit r when r_j <= s_j (m sets), r_j < s_j
-    # (m sets), r < s and r != s, padded to whole 64-bit words
-    bits = np.zeros((2 * m + 2, k, -(-k // 64) * 64), dtype=bool)
+    earlier, other, distinct, ends = _pair_words(k)
+    cols = objs.T
+    # row s of each set holds bit r when r_j <= s_j (m sets) and r_j < s_j
+    # (m sets), padded to whole 64-bit words
+    bits = np.zeros((2 * m, k, -(-k // 64) * 64), dtype=bool)
     np.less_equal(cols[:, None, :], cols[:, :, None], out=bits[:m, :, :k])
-    np.less(cols[:, None, :], cols[:, :, None], out=bits[m:2 * m, :, :k])
-    np.less(idx, idx[:, None], out=bits[-2, :, :k])
-    np.not_equal(idx, idx[:, None], out=bits[-1, :, :k])
+    np.less(cols[:, None, :], cols[:, :, None], out=bits[m:, :, :k])
     words = np.packbits(bits, axis=2).view(np.uint64).transpose(0, 2, 1).copy()
-    le, lt, earlier, other = words[:m], words[m:2 * m], words[-2], words[-1]
-    below = bits[m:2 * m, :, :k].transpose(0, 2, 1)  # [j, p, q]: p_j < q_j
+    le, lt = words[:m], words[m:, :, None, :]
+    below = bits[m:, :, :k].transpose(0, 2, 1)  # [j, p, q]: p_j < q_j
     # [word, p, q]: the r with r <= max(q, p), and the r with
     # max(r, p) != max(q, p) among those: r_j < q_j where p_j < q_j (the
     # bool factor keeps or clears whole words)
     covers = le[0][:, :, None] | le[0][:, None, :]
-    differs = lt[0][:, None, :] * below[0]
+    differs = lt[0] * below[0]
     for j in range(1, m):
         covers &= le[j][:, :, None] | le[j][:, None, :]
-        differs |= lt[j][:, None, :] * below[j]
-    differs |= earlier[:, None, :]
+        differs |= lt[j] * below[j]
+    differs |= earlier
     differs &= covers
-    differs &= other[:, :, None]
-    survives = ~differs.any(axis=0)  # [p, q]: the clamped q enters p's box
-    np.fill_diagonal(survives, False)
+    differs &= other
+    # [p, q]: the clamped q enters p's box
+    survives = np.greater(distinct, np.logical_or.reduce(differs, axis=0))
 
     p, q = np.nonzero(survives)  # grouped by p, ascending
     clamped = np.maximum(objs[q], objs[p])
-    inside = np.all(clamped < ref, axis=1)
-    points = clamped[inside].tolist()
-    ends = np.searchsorted(p[inside], np.arange(1, k + 1)).tolist()
-    boxes = np.prod(np.maximum(ref - objs, 0.0), axis=1).tolist()
+    inside = np.logical_and.reduce(clamped < ref, axis=1)
+    if not np.logical_and.reduce(inside):
+        clamped, p = clamped[inside], p[inside]
+    points = clamped.tolist()
+    boxes = np.multiply.reduce(np.maximum(ref - objs, 0.0), axis=1).tolist()
     bound = ref.tolist()
     out = []
     start = 0
-    for box, end in zip(boxes, ends):
+    for box, end in zip(boxes, np.searchsorted(p, ends).tolist()):
         out.append(box - hv_sweep(points[start:end], bound))
         start = end
     return np.array(out)
@@ -558,18 +583,6 @@ def _least_contributor(front: np.ndarray, ref: np.ndarray) -> int:
     return int(np.argmin(hv_contributions(front, ref)))
 
 
-def _compare(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``(le, ge)`` over row pairs: ``le[i, j]`` when a[i] is no worse than
-    b[j] in every objective, ``ge[i, j]`` when it is no better.  So a[i]
-    dominates b[j] where ``le & ~ge`` and is dominated where ``ge & ~le``."""
-    le = a[:, None, 0] <= b[None, :, 0]
-    ge = a[:, None, 0] >= b[None, :, 0]
-    for j in range(1, a.shape[1]):
-        le &= a[:, None, j] <= b[None, :, j]
-        ge &= a[:, None, j] >= b[None, :, j]
-    return le, ge
-
-
 def _level_after_insert(objs: np.ndarray, level: np.ndarray,
                         row: np.ndarray) -> np.ndarray:
     """Non-domination levels of ``objs`` with ``row`` appended, from the
@@ -580,21 +593,39 @@ def _level_after_insert(objs: np.ndarray, level: np.ndarray,
     row down by at most one level: a row moves when a row now one level
     above it dominates it, so the move starts at the newcomer's level with
     the rows it dominates and cascades only through rows a moved row
-    dominates.
+    dominates.  A moved row is dominated by the newcomer, and so is every
+    row it dominates, so only the rows the newcomer dominates are
+    candidates.  The newcomer is compared with one objective column at a
+    time, which NumPy runs as long loops, and a moved row dominates a row
+    when it is no worse everywhere and better somewhere.
     """
-    le, ge = _compare(objs, row[None, :])
-    le, ge = le[:, 0], ge[:, 0]
-    above = le & ~ge
-    depth = int(level[above].max()) + 1 if above.any() else 0
-    level = np.append(level, depth)
-    moved = np.flatnonzero(ge & ~le & (level[:-1] == depth))
+    k = objs.shape[0]
+    r = row.tolist()
+    col = objs[:, 0]
+    le, ge = col <= r[0], col >= r[0]  # row i no worse, no better than row
+    for j in range(1, len(r)):
+        col = objs[:, j]
+        le &= col <= r[j]
+        ge &= col >= r[j]
+    # the newcomer's dominators are le > ge, the rows it dominates ge > le
+    depth = int(np.maximum.reduce(level, where=le > ge, initial=-1)) + 1
+    out = np.empty(k + 1, dtype=level.dtype)
+    out[:k] = level
+    out[k] = depth
+    dominated = np.flatnonzero(ge > le)
+    levels = level[dominated]
+    moved = dominated[levels == depth]
     while moved.size:
         depth += 1
-        below = np.flatnonzero(level[:-1] == depth)
-        level[moved] = depth
-        le, ge = _compare(objs[moved], objs[below])
-        moved = below[(le & ~ge).any(axis=0)]
-    return level
+        out[moved] = depth
+        below = dominated[levels == depth]
+        if not below.size:
+            break
+        a, b = objs[moved][:, None, :], objs[below]
+        dominates = (np.logical_and.reduce(a <= b, axis=2)
+                     & np.logical_or.reduce(a < b, axis=2))
+        moved = below[np.logical_or.reduce(dominates, axis=0)]
+    return out
 
 
 class SmsEmoaHost:
@@ -620,51 +651,58 @@ class SmsEmoaHost:
         self.lo, self.hi = self.pop_f.min(axis=0), self.pop_f.max(axis=0)
 
     def _insert(self, x: np.ndarray, f: np.ndarray) -> None:
-        k = self.pop_f.shape[0]
-        level = _level_after_insert(self.pop_f, self.level, f)
+        pop_f = self.pop_f
+        k = pop_f.shape[0]
+        level = _level_after_insert(pop_f, self.level, f)
         # the range of the pool: the members plus the newcomer
         lo, hi = np.minimum(self.lo, f), np.maximum(self.hi, f)
-        # the pool is the members plus the newcomer as row k, never stacked
-        worst = np.flatnonzero(level == level.max())
-        if worst[-1] == k:
-            front = np.vstack([self.pop_f[worst[:-1]], f])
+        # the pool is the members plus the newcomer as row k, never stacked;
+        # a worst front of one point is dropped without being normalized
+        worst = np.flatnonzero(level == np.maximum.reduce(level))
+        if worst.size == 1:
+            drop = int(worst[0])
         else:
-            front = self.pop_f[worst]
-        span = np.maximum(hi - lo, RANGE_GUARD)
-        drop = int(worst[_least_contributor((front - lo) / span, self.ref)])
+            if worst[-1] == k:
+                front = np.concatenate((pop_f[worst[:-1]], f[None]))
+            else:
+                front = pop_f[worst]
+            front -= lo
+            front /= np.maximum(hi - lo, RANGE_GUARD)
+            drop = int(worst[_least_contributor(front, self.ref)])
         if drop == k:
             # the rows the newcomer moved sit below it, so on the last level
             # it moved none: the members and their levels stay as they were
             return
-        dropped = self.pop_f[drop]
+        dropped = pop_f[drop]
         self.pop_x = np.concatenate((self.pop_x[:drop], self.pop_x[drop + 1:], x[None]))
-        self.pop_f = np.concatenate((self.pop_f[:drop], self.pop_f[drop + 1:], f[None]))
+        self.pop_f = np.concatenate((pop_f[:drop], pop_f[drop + 1:], f[None]))
         self.level = np.concatenate((level[:drop], level[drop + 1:]))
-        if ((dropped > lo) & (dropped < hi)).all():
+        # strictly inside the range on Python floats, which compare as NumPy's
+        if all(a < v < b for a, v, b in zip(lo.tolist(), dropped.tolist(),
+                                              hi.tolist())):
             self.lo, self.hi = lo, hi
         else:  # it held an extreme (or a NaN): the survivors set the range
-            self.lo, self.hi = self.pop_f.min(axis=0), self.pop_f.max(axis=0)
+            self.lo = np.minimum.reduce(self.pop_f, axis=0)
+            self.hi = np.maximum.reduce(self.pop_f, axis=0)
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
+        insert = self._insert
         for row in range(o1.size):
-            self._insert(o1.xs[row], o1.fs[row])
+            insert(o1.xs[row], o1.fs[row])
+        bounds = self.problem.bounds
+        pool = [range(self.pop_f.shape[0])]  # an insert keeps the size
         xs, fs = [], []
         for _ in range(self.pop_size):
             if budget.exhausted:
                 break
-            k = self.pop_f.shape[0]
-            trip = _distinct_triplets([range(k)], None, rng)[0]
-            child = de_pm_offspring(
-                self.pop_x[trip[0]][None, :],
-                self.pop_x[trip[1]][None, :],
-                self.pop_x[trip[2]][None, :],
-                rng, self.problem.bounds,
-            )
+            parents = self.pop_x[_distinct_triplets(pool, None, rng)[0]]
+            child = de_pm_offspring(parents[:1], parents[1:2], parents[2:], rng, bounds)
             o = budget.evaluate(child)
-            self._insert(o.xs[0], o.fs[0])
-            xs.append(o.xs[0])
-            fs.append(o.fs[0])
+            x, f = o.xs[0], o.fs[0]
+            insert(x, f)
+            xs.append(x)
+            fs.append(f)
         if not xs:
             return OffspringBatch.empty(self.problem.n, self.problem.m)
         return OffspringBatch(np.stack(xs), np.stack(fs))

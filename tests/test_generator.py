@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from idealbench import generator as gen
 from idealbench.core import make_rng
 
+from . import reference_insert
+
 ALL_NAMES = gen.preset_names()
 
 
@@ -35,6 +37,23 @@ class TestSigma:
     def test_one_variable_per_group(self):
         out = gen._group_means(np.array([[0.1, 0.9]]), gen._groups(2, 2))
         assert out[0].tolist() == [0.1, 0.9]
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1, 3, 7, 8, 12])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_bytes_match_the_per_group_sums(self, groups, size, extra):
+        # magnitudes that cancel show any change in the order of the sums:
+        # groups of 8 or more, or of unequal size, keep one reduce per group
+        rng = make_rng(100 * size + 10 * groups + extra)
+        width = size * groups + extra
+        layout = gen._groups(width, groups)
+        terms = [1.0, 1e16, -1e16, 3.0, 1e-3, 7.5, 2.0 ** -53, -0.0]
+        for k in (1, 4, 100):
+            vals = rng.choice(terms, size=(k, width + 3))
+            for block in (vals[:, :width], vals[:, 3:], np.ascontiguousarray(vals[:, 3:])):
+                got = gen._group_means(block, layout)
+                want = reference_insert._group_means(block, layout)
+                assert got.tobytes() == want.tobytes()
 
     def test_too_few_variables(self):
         # one position variable cannot feed the m-1 = 2 groups of m = 3
@@ -237,6 +256,18 @@ class TestEvaluate:
         x[-1] = 1.5
         with pytest.raises(ValueError):
             gen.evaluate(x, params)
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    @pytest.mark.parametrize("part", ["position", "distance"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_nan_variable_rejected(self, name, part, rows):
+        # NaN fails every compare, so a check for values past a bound let it
+        # through and the row evaluated to NaN objectives
+        prob = gen.get_problem(name)
+        x = prob.bounds.sample(rows, make_rng(4))
+        x[rows // 2, 0 if part == "position" else prob.params.s] = np.nan
+        with pytest.raises(ValueError, match="outside the box bounds"):
+            prob.evaluate_batch(x)
 
     def test_center_value_with_scales(self):
         # position at the bias center and distance variables on their anchors

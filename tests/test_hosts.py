@@ -19,6 +19,7 @@ from idealbench.hosts import (RANGE_GUARD, UT_BETA, EstimatorConfig,
                               simplex_lattice_weights)
 from idealbench.metrics import hv_exact
 
+from . import reference_insert
 from .oracles import dominates
 
 UNIT = BoxBounds(np.zeros(4), np.ones(4))
@@ -531,11 +532,68 @@ class TestMutationOracle:
         assert got.tobytes() == want.tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
 
+    @pytest.mark.parametrize("n", [7, 11])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_bytes_match_the_full_array_kernel(self, n, seed):
+        # one row at a time, as SMS-EMOA mutates: about a third of the draws
+        # mutate nothing, and the rest one entry or a few
+        rng = make_rng(600 + seed)
+        lower = rng.random(n) * 4 - 2
+        bounds = BoxBounds(lower, lower + rng.random(n) * 3 + 1e-3)
+        fast, slow = make_rng(seed), make_rng(seed)
+        unchanged = 0
+        for _ in range(60):
+            xs = bounds.sample(1, rng)
+            on_bound = rng.random(n) < 0.2
+            xs[0, on_bound] = np.where(rng.random(n) < 0.5, bounds.lower,
+                                       bounds.upper)[on_bound]
+            got = polynomial_mutation(xs, fast, bounds)
+            want = full_array_polynomial_mutation(xs, slow, bounds)
+            assert got.tobytes() == want.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
+            unchanged += got.tobytes() == xs.tobytes()
+        assert 0 < unchanged < 60
+
     def test_nothing_applied_returns_a_clamped_copy(self):
         xs = np.array([[-0.5, 0.5, 1.5, 0.25]])
         no_draw_applies = SimpleNamespace(random=np.ones)  # 1 is never below 1/n
         got = polynomial_mutation(xs, no_draw_applies, UNIT)
         assert got.tolist() == [[0.0, 0.5, 1.0, 0.25]] and got is not xs
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    @pytest.mark.parametrize("k", [1, 3, 100])
+    def test_de_pm_bytes_match_the_original(self, name, k):
+        # parents on the box's corners, on signed zeros and (once) NaN
+        bounds = get_problem(name).bounds
+        rng = make_rng(700 + k)
+        fast, slow = make_rng(k), make_rng(k)
+        for i in range(40):
+            parents = [bounds.sample(k, rng) for _ in range(3)]
+            for x in parents:
+                pick = rng.random(x.shape)
+                x[pick < 0.1] = np.broadcast_to(bounds.lower, x.shape)[pick < 0.1]
+                x[pick > 0.9] = np.broadcast_to(bounds.upper, x.shape)[pick > 0.9]
+                x[(pick > 0.45) & (pick < 0.5)] = -0.0
+            if i == 0:
+                parents[0][0, 0] = np.nan
+            got = de_pm_offspring(*parents, fast, bounds)
+            want = reference_insert.de_pm_offspring(*parents, slow, bounds)
+            assert got.tobytes() == want.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["mop2", "mop11"])
+    def test_clamp_is_np_clip_on_signed_zeros_and_nan(self, name):
+        # both sides of the lower bounds 0 (position) and -1 (distance), and
+        # of the upper bound 1: clip hands a tie the bound's zero, not -0.0
+        bounds = get_problem(name).bounds
+        values = [-0.0, 0.0, -1.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0),
+                  -5e-324, 5e-324, np.nextafter(1.0, 2.0), np.nan, -np.inf, np.inf]
+        xs = np.repeat(np.array(values)[:, None], bounds.n, axis=1)
+        want = np.clip(xs, bounds.lower, bounds.upper)
+        assert clamp_to_bounds(xs, bounds).tobytes() == want.tobytes()
+        assert clamp_to_bounds(xs[3], bounds).tobytes() == want[3].tobytes()
+        never = SimpleNamespace(random=np.ones)  # PM mutates nothing
+        assert polynomial_mutation(xs, never, bounds).tobytes() == want.tobytes()
 
 
 def reference_tchebycheff(objs, weights, z_ref, scale):
