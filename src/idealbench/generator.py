@@ -150,6 +150,20 @@ class GeneratorParams:
         distance centre, where ``ell`` is identically 0."""
         return tuple(map(_frozen, _anchor_and_weight(np.zeros(1), self)))
 
+    @cached_property
+    def row_frame(self) -> tuple | None:
+        """The frames ``_evaluate_row`` reads, as lists of Python floats: the
+        widened bounds, the remap's centre, branch centres and coefficients,
+        and the scale factors; None when a group holds 8 or more variables,
+        which NumPy sums pairwise."""
+        sizes = [size for _, size in self.position_groups + self.distance_groups]
+        if max(sizes) >= 8:
+            return None
+        c, centres, coefs, g = self.remap_frame
+        lower, upper = self.bounds_tolerance
+        return (lower.tolist(), upper.tolist(), c.tolist(), centres.tolist(),
+                coefs.tolist(), g, self.w_vector.tolist())
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -330,20 +344,84 @@ def _distance_from_y(
 
 
 def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
-    """Objective vectors for a batch of decision vectors, shape (k, m)."""
+    """Objective vectors for a batch of decision vectors, shape (k, m).
+
+    One row takes ``_evaluate_row``, whose result is byte for byte the
+    batch body's on that row.
+    """
     x = float_rows(x)
     if x.shape[1] != params.n:
         raise ValueError(f"expected {params.n} variables, got {x.shape[1]}")
+    if x.shape[0] == 1 and params.row_frame is not None:
+        return _evaluate_row(x.tolist()[0], params)
     # inside the box, a test that NaN fails too: it holds no compare
     lower, upper = params.bounds_tolerance
     inside = x >= lower
     inside &= x <= upper
     if not np.logical_and.reduce(inside, axis=None):
         raise ValueError("decision vector outside the box bounds")
+    return _evaluate_rows(x, params)
+
+
+def _evaluate_rows(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
+    """``evaluate``'s batch body, for rows already checked against the box."""
     x_pos, x_dist = x[:, : params.s], x[:, params.s :]
     h, y = position_value(x_pos, params)
     g = _distance_from_y(x_dist, y, params)
     return (h + g @ params.theta_matrix.T) * params.w_vector
+
+
+def _row_mean(terms: list) -> float:
+    # one after another from 0.0, as NumPy adds fewer than 8 terms (so -0.0
+    # sums to 0.0); not sum(), whose float additions are compensated from
+    # Python 3.12 on
+    total = 0.0
+    for term in terms:
+        total += term
+    return total / len(terms)
+
+
+def _evaluate_row(row: list, params: GeneratorParams) -> np.ndarray:
+    """``evaluate`` of one row given as Python floats, shape (1, m).
+
+    The sums, products, compares and branch choices are the batch body's
+    IEEE operations in the same order, on Python floats.  Every power,
+    sine, cosine and matrix product stays a NumPy call of the form and
+    shape the batch body makes on one row: ``**`` on an array keeps NumPy's
+    fast paths (``square``, ``sqrt``), and a (1, m) @ (m, m) product stays
+    one, since BLAS may sum a larger batch's rows in another order.
+    """
+    lower, upper, c, centres, coefs, g, w = params.row_frame
+    for v, lo, hi in zip(row, lower, upper):
+        if not lo <= v <= hi:  # NaN fails it too
+            raise ValueError("decision vector outside the box bounds")
+    s, m = params.s, params.m
+    sig = [_row_mean(row[i:s:m - 1]) for i in range(m - 1)]
+    dev = []
+    for v, (c_lo, c_hi) in zip(sig, centres):
+        dev += (abs(v - c_lo), abs(v - c_hi))
+    term = (np.array(dev) ** g).tolist()
+    # the remap, then the simplex map's running product
+    y, prod = [], 1.0
+    for i, (v, ci, (k_lo, k_hi)) in enumerate(zip(sig, c, coefs)):
+        if v < ci:
+            v = k_lo * term[2 * i]
+        elif v > ci:
+            v = 1.0 - k_hi * term[2 * i + 1]
+        y.append(prod * (1.0 - v))
+        prod *= v
+    y.append(prod)
+    y = np.array([y])
+    h = np.power(y, params.p_vector).tolist()[0]
+    if params.inverted:
+        h = [1.0 - v for v in h]
+    anchor, weight = _distance_frame(y, params)
+    weight = weight.tolist()[0]
+    dev = [abs(v - a) for v, a in zip(row[s:], anchor.tolist()[0])]
+    powered = (np.array(dev) ** params.a3).tolist()
+    dist = np.array([[weight * _row_mean(powered[i::m]) for i in range(m)]])
+    mixed = (dist @ params.theta_matrix.T).tolist()[0]
+    return np.array([[(a + b) * wi for a, b, wi in zip(h, mixed, w)]])
 
 
 def sample_pareto_set(

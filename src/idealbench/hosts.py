@@ -85,8 +85,6 @@ def polynomial_mutation(
     apply = rng.random((k, n)) < 1.0 / n
     u = rng.random((k, n))
     rows, cols = np.nonzero(apply)
-    if not rows.size:
-        return clamp_to_bounds(xs, bounds)
     x, u = xs[rows, cols], u[rows, cols]
     lo, hi = bounds.lower[cols], bounds.upper[cols]
     span = hi - lo
@@ -113,17 +111,76 @@ def de_pm_offspring(
     """DE/rand/1/bin children (DE_F, DE_CR) followed by polynomial mutation
     and clamping.
 
-    All three parent arguments are (k, n) batches; rows pair up.
+    All three parent arguments are (k, n) batches; rows pair up.  One row
+    takes ``_one_child``, whose child and draws are byte for byte the batch
+    body's; no rows draw nothing.
     """
     base = float_rows(base)
     k, n = base.shape
+    if k == 1:
+        return _one_child(base, diff_a, diff_b, rng, bounds)
+    if not k:
+        return np.empty((0, n))
+    return _de_pm_rows(base, diff_a, diff_b, rng, bounds)
+
+
+def _de_pm_rows(base: np.ndarray, diff_a: np.ndarray, diff_b: np.ndarray,
+                rng: np.random.Generator, bounds: BoxBounds) -> np.ndarray:
+    """``de_pm_offspring``'s batch body, for a (k, n) float ``base``."""
+    k, n = base.shape
     mutant = base + DE_F * np.subtract(diff_a, diff_b)
     cross = rng.random((k, n)) < DE_CR
-    # one forced column per row: for one row a scalar draw, which takes the
-    # same word as size=1 for a fraction of the call's cost
-    cross[np.arange(k), rng.integers(0, n, size=k if k > 1 else None)] = True
+    cross[np.arange(k), rng.integers(0, n, size=k)] = True
     child = clamp_to_bounds(np.where(cross, mutant, base), bounds)
     return polynomial_mutation(child, rng, bounds)
+
+
+def _one_child(base: np.ndarray, diff_a: np.ndarray, diff_b: np.ndarray,
+               rng: np.random.Generator, bounds: BoxBounds) -> np.ndarray:
+    """``_de_pm_rows`` of one (1, n) row, on Python floats.
+
+    The draws are the batch body's: ``random((1, n))``, a scalar
+    ``integers(0, n)``, which takes the same word as ``size=1``, then
+    ``random((1, n))`` twice.  The arithmetic, compares and branch choices
+    are its IEEE operations in the same order.  Clamping is NumPy's clip of
+    a row: a value equal to a bound becomes the bound (so -0.0 becomes a
+    lower bound of 0.0), and a NaN stays NaN.  Only the mutated entries'
+    branch is computed; its two powers stay NumPy's, one call each over
+    those entries, since Python's scalar ``**`` can differ from them in the
+    last place.
+    """
+    n = base.shape[1]
+    lower, upper = bounds.lower.tolist(), bounds.upper.tolist()
+    cross = rng.random((1, n)).tolist()[0]
+    forced = int(rng.integers(0, n))
+    child = []
+    for j, (b, a, d, r, lo, hi) in enumerate(zip(
+            base.tolist()[0], float_rows(diff_a).tolist()[0],
+            float_rows(diff_b).tolist()[0], cross, lower, upper)):
+        v = b + DE_F * (a - d) if r < DE_CR or j == forced else b
+        child.append(lo if v <= lo else hi if v >= hi else v)
+    rate = 1.0 / n
+    cols = [j for j, r in enumerate(rng.random((1, n)).tolist()[0]) if r < rate]
+    u = rng.random((1, n)).tolist()[0]
+    if not cols:
+        return np.array([child])
+    # the low branch (u < 0.5) steps from the lower bound, the high one
+    # from the upper
+    low = [u[j] < 0.5 for j in cols]
+    spans = [upper[j] - lower[j] for j in cols]
+    dist = [(child[j] - lower[j] if lw else upper[j] - child[j]) / span
+            for j, lw, span in zip(cols, low, spans)]
+    powered = np.power([1.0 - d for d in dist], PM_ETA + 1.0).tolist()
+    base_terms = [
+        2.0 * u[j] + (1.0 - 2.0 * u[j]) * t if lw
+        else 2.0 * (1.0 - u[j]) + 2.0 * (u[j] - 0.5) * t
+        for j, lw, t in zip(cols, low, powered)]
+    stepped = np.power(base_terms, 1.0 / (PM_ETA + 1.0)).tolist()
+    for j, lw, span, q in zip(cols, low, spans, stepped):
+        v = child[j] + (q - 1.0 if lw else 1.0 - q) * span
+        lo, hi = lower[j], upper[j]
+        child[j] = lo if v <= lo else hi if v >= hi else v
+    return np.array([child])
 
 
 def _distinct_triplets(

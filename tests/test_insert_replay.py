@@ -1,7 +1,7 @@
 """SMS-EMOA's insert, the DE/PM variation and the generator's evaluation
 against the originals kept in `reference_insert`.
 
-Every insert, variation call and evaluation of five short seeded `smsemoa`
+Every insert, variation call and evaluation of seven short seeded `smsemoa`
 trials is recorded with its inputs: an insert with the host's state before
 it, a variation call with the random generator's state before it.  Each is
 then replayed through both the shipped code and the kept original.  After
@@ -10,20 +10,18 @@ after a variation call the children and the generator's state must be; an
 evaluation's objectives must be.  The recorded inserts have to cover a
 dropped newcomer, a cascade through the levels, a dropped extreme, a worst
 front of one point and one of more than 64 points (two words per set), and
-the variation calls one whose mutation draw mutates nothing.  The replay
-runs once in this process and once in a child process kept out of NumPy's
-AVX-512 kernels.
+the variation calls one whose mutation draw mutates nothing, one that
+mutates two or more entries and one whose child is clamped onto a bound.
+The trials take in a 3-objective instance with a distance centre (`mop13`)
+and an inverted one (`mop11-inv`), whose one-row evaluations take the
+ratio, anchor and inversion steps.  The replay runs once in this process
+and once in a child process kept out of NumPy's AVX-512 kernels.
 """
 
 import copy
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 
 from idealbench import generator, hosts
 from idealbench.bench import RunConfig, run_trial
@@ -32,6 +30,7 @@ from idealbench.generator import GeneratedProblem
 from idealbench.hosts import EstimatorConfig, HostConfig, SmsEmoaHost
 
 from . import reference_insert
+from .dispatch import check_without_avx512
 from .reference_insert import ReferenceInsert
 
 # (problem, estimator, population, fe_max, seed); the last is test_digest's
@@ -42,12 +41,14 @@ TRIALS = {
     "mop2-eie": ("mop2", "eie", 24, 800, 0),
     "mop11-running-min": ("mop11", "running-min", 24, 800, 0),
     "mop11-eie": ("mop11", "eie", 24, 800, 0),
+    "mop13-running-min": ("mop13", "running-min", 24, 800, 0),
+    "mop11-inv-running-min": ("mop11-inv", "running-min", 24, 800, 0),
     "mop2-collapsed": ("mop2", "running-min", 100, 1_600, 0),
 }
 STATE = ("pop_x", "pop_f", "level", "lo", "hi")
 COVERAGE = ("dropped newcomer", "cascade", "dropped extreme",
-            "worst front of one", "worst front over 64", "nothing mutated")
-WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+            "worst front of one", "worst front over 64", "nothing mutated",
+            "two or more mutated", "clamped at a bound")
 
 
 def recorded_calls(name: str) -> tuple:
@@ -125,8 +126,7 @@ def replay_insert(record) -> tuple:
 
 def replay_variation(record) -> tuple:
     """Vary the recorded parents with both kernels from the recorded
-    generator state.  Returns what differs and whether the mutation draw
-    mutated nothing."""
+    generator state.  Returns what differs and the cases covered."""
     state, parents, bounds = record
     rngs = [make_rng(0) for _ in range(3)]
     for rng in rngs:
@@ -143,7 +143,13 @@ def replay_variation(record) -> tuple:
     draw = rngs[2]
     draw.random((k, n))
     draw.integers(0, n, size=k)
-    return diff, not (draw.random((k, n)) < 1.0 / n).any()
+    mutated = np.count_nonzero(draw.random((k, n)) < 1.0 / n)
+    # an entry on a bound where its base is not: the variation clamped it
+    base = np.atleast_2d(parents[0])
+    clamped = [(ref == b) & (base != b) for b in (bounds.lower, bounds.upper)]
+    return diff, {"nothing mutated": mutated == 0,
+                  "two or more mutated": mutated >= 2,
+                  "clamped at a bound": bool(np.any(clamped))}
 
 
 def check_trials() -> None:
@@ -157,9 +163,10 @@ def check_trials() -> None:
             for key, hit in hits.items():
                 covered[key] += hit
         for i, record in enumerate(variations):
-            diff, nothing = replay_variation(record)
+            diff, hits = replay_variation(record)
             assert not diff, f"{name}: variation {i} of {len(variations)} differs in {diff}"
-            covered["nothing mutated"] += nothing
+            for key, hit in hits.items():
+                covered[key] += hit
         for i, (params, xs) in enumerate(evaluations):
             mine = generator.evaluate(xs, params)
             ref = reference_insert.evaluate(xs, params)
@@ -174,20 +181,4 @@ def test_insert_replays_byte_equal_to_reference():
 
 
 def test_insert_replays_byte_equal_without_avx512():
-    from numpy._core._multiarray_umath import __cpu_features__
-    if not __cpu_features__.get("X86_V4"):
-        pytest.skip("this process already runs without NumPy's AVX-512 kernels")
-    import idealbench
-    root = Path(__file__).resolve().parent.parent
-    src = str(Path(idealbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, str(root), os.environ.get("PYTHONPATH")]))
-    script = (
-        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-        "assert not f['X86_V4'], 'AVX-512 kernels still enabled'\n"
-        "from tests.test_insert_replay import check_trials\n"
-        "check_trials()\n"
-    )
-    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=root, env=env, timeout=600)
-    assert done.returncode == 0, done.stderr[-3000:]
+    check_without_avx512("test_insert_replay", "check_trials")

@@ -13,15 +13,10 @@ process kept out of NumPy's AVX-512 kernels.
 
 import contextlib
 import copy
-import os
-import subprocess
-import sys
 import warnings
 from collections import deque
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from idealbench.bench import RunConfig, default_population_size, run_trial
 from idealbench.cmaes import CmaProcedure
@@ -30,6 +25,7 @@ from idealbench.generator import get_problem
 from idealbench.hosts import EstimatorConfig, HostConfig
 
 from . import reference_tell
+from .dispatch import check_without_avx512
 from .reference_tell import ReferenceTell
 from .test_cmaes import scripted_tells
 
@@ -40,7 +36,6 @@ TRIALS = {
 }
 COVERAGE = ("default lambda", "odd lambda", "lambda ceiling", "clipped injection",
             "still ill-conditioned")
-WITHOUT_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def trial(name: str):
@@ -169,20 +164,4 @@ def test_tell_replays_byte_equal_to_reference():
 
 
 def test_tell_replays_byte_equal_without_avx512():
-    from numpy._core._multiarray_umath import __cpu_features__
-    if not __cpu_features__.get("X86_V4"):
-        pytest.skip("this process already runs without NumPy's AVX-512 kernels")
-    import idealbench
-    root = Path(__file__).resolve().parent.parent
-    src = str(Path(idealbench.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, str(root), os.environ.get("PYTHONPATH")]))
-    script = (
-        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-        "assert not f['X86_V4'], 'AVX-512 kernels still enabled'\n"
-        "from tests.test_tell_replay import check_trials\n"
-        "check_trials()\n"
-    )
-    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=root, env=env, timeout=600)
-    assert done.returncode == 0, done.stderr[-3000:]
+    check_without_avx512("test_tell_replay", "check_trials")
