@@ -102,14 +102,11 @@ def _real(value, name: str) -> float:
 @click.option("--pop-size", type=int, default=None)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--snapshot-every", type=int, default=None)
-@click.option("--paper-protocol", is_flag=True,
-              help="Full-scale protocol: 30 seeds, 200k/400k evaluations;"
-                   " excludes --seeds and --fe-max.")
 @click.option("--out", "output_dir", type=click.Path(file_okay=False), default=None,
               help="Output directory; default results.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
               envvar=WORKERS_ENV, help=f"Process count; also via {WORKERS_ENV}.")
-def run(config_path, paper_protocol, workers, **flags):
+def run(config_path, workers, **flags):
     """Run (problem x host x estimator x seed) trials and emit CSVs."""
     file_cfg = {}
     if config_path:
@@ -127,16 +124,6 @@ def run(config_path, paper_protocol, workers, **flags):
                 f"unknown key(s) in {config_path}: {', '.join(unknown)};"
                 f" known keys: {', '.join(sorted(flags))}")
 
-    if paper_protocol:  # it sets both, so a given value would be ignored
-        drop = [opt for opt, key in (("--seeds", "seeds"), ("--fe-max", "fe_max"))
-                if flags[key] is not None]
-        drop += [f"'{key}' in {config_path}" for key in ("seeds", "fe_max")
-                 if key in file_cfg]
-        if drop:
-            raise click.UsageError(
-                f"--paper-protocol sets the seeds and the budget;"
-                f" drop {', '.join(drop)}")
-
     # one merge rule, whose keys are the config file's: a flag, then the
     # file's value, then the default
     for key in ("problem", "host", "estimator", "seeds"):  # comma-separated
@@ -146,8 +133,7 @@ def run(config_path, paper_protocol, workers, **flags):
     configs = []
     try:
         seeds = given.get("seeds", range(10))
-        seed_list = check_seeds(range(30) if paper_protocol else seeds
-                                if isinstance(seeds, (list, range)) else [seeds])
+        seed_list = check_seeds(seeds if isinstance(seeds, (list, range)) else [seeds])
         output_dir = given.get("output_dir", "results")
         if not isinstance(output_dir, str):
             raise ValueError(f"output_dir must be a path, not {output_dir!r}")
@@ -164,8 +150,6 @@ def run(config_path, paper_protocol, workers, **flags):
             pop = whole_number(given.get("pop_size", default_population_size(prob.m)),
                                "pop_size")
             fe = whole_number(given.get("fe_max", default_fe_max(prob.m)), "fe_max")
-            if paper_protocol:
-                fe = 200_000 if prob.m == 2 else 400_000
             for host_kind in hosts:
                 host_cfg = HostConfig(kind=host_kind, population_size=pop)
                 for est_kind in estimators:

@@ -122,12 +122,6 @@ class GeneratorParams:
         return _frozen(c), _frozen(nmat), r0
 
     @cached_property
-    def bounds_tolerance(self) -> tuple:
-        """The box bounds widened by 1e-9, which ``evaluate`` still accepts."""
-        b = self.bounds
-        return _frozen(b.lower - 1e-9), _frozen(b.upper + 1e-9)
-
-    @cached_property
     def remap_frame(self) -> tuple:
         """``_remap``'s centre, branch centres, coefficients and exponent for
         ``chat_vals`` and ``gamma``."""
@@ -153,15 +147,15 @@ class GeneratorParams:
     @cached_property
     def row_frame(self) -> tuple | None:
         """The frames ``_evaluate_row`` reads, as lists of Python floats: the
-        widened bounds, the remap's centre, branch centres and coefficients,
+        box bounds, the remap's centre, branch centres and coefficients,
         and the scale factors; None when a group holds 8 or more variables,
         which NumPy sums pairwise."""
         sizes = [size for _, size in self.position_groups + self.distance_groups]
         if max(sizes) >= 8:
             return None
         c, centres, coefs, g = self.remap_frame
-        lower, upper = self.bounds_tolerance
-        return (lower.tolist(), upper.tolist(), c.tolist(), centres.tolist(),
+        b = self.bounds
+        return (b.lower.tolist(), b.upper.tolist(), c.tolist(), centres.tolist(),
                 coefs.tolist(), g, self.w_vector.tolist())
 
 
@@ -355,9 +349,9 @@ def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
     if x.shape[0] == 1 and params.row_frame is not None:
         return _evaluate_row(x.tolist()[0], params)
     # inside the box, a test that NaN fails too: it holds no compare
-    lower, upper = params.bounds_tolerance
-    inside = x >= lower
-    inside &= x <= upper
+    b = params.bounds
+    inside = x >= b.lower
+    inside &= x <= b.upper
     if not np.logical_and.reduce(inside, axis=None):
         raise ValueError("decision vector outside the box bounds")
     return _evaluate_rows(x, params)

@@ -304,7 +304,7 @@ def evaluate(x: np.ndarray, params: GeneratorParams) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params.n:
         raise ValueError(f"expected {params.n} variables, got {x.shape[1]}")
-    lower, upper = params.bounds_tolerance
+    lower, upper = params.bounds.lower - 1e-9, params.bounds.upper + 1e-9
     if (x < lower).any() or (x > upper).any():
         raise ValueError("decision vector outside the box bounds")
     x_pos, x_dist = x[:, : params.s], x[:, params.s :]

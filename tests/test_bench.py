@@ -16,7 +16,7 @@ from idealbench.bench import (RunConfig, RunRecord, build_report,
                               summarize)
 from idealbench.cli import main as cli_main
 from idealbench.estimation import IdealEstimation
-from idealbench.generator import get_problem
+from idealbench.generator import get_problem, preset_names
 from idealbench.hosts import EstimatorConfig, HostConfig
 
 from .test_core import reference_fronts
@@ -28,6 +28,8 @@ def reference_sweep(points, ref):
     """``metrics.hv_sweep`` answered by the earlier numpy-row hypervolume."""
     return reference_hv(np.array(points).reshape(-1, len(ref)), np.array(ref))
 
+
+GRIDS = Path(__file__).resolve().parents[1] / "grids"
 
 SMALL = dict(host=HostConfig(kind="moead", population_size=40),
              fe_max=2_000, snapshot_every=500)
@@ -729,29 +731,53 @@ class TestCli:
         assert "Traceback" not in result.output
         assert not calls and taken.read_text() == "keep"
 
-    @pytest.mark.parametrize("flags,file_keys,named", [
-        (["--seeds", "0,1", "--fe-max", "3000"], {}, "--seeds, --fe-max"),
-        (["--fe-max", "3000"], {}, "--fe-max"),
-        ([], {"seeds": [0, 1]}, "'seeds' in"),
-        ([], {"fe_max": 3000}, "'fe_max' in"),
-    ])
-    def test_paper_protocol_rejects_seeds_and_budget(self, flags, file_keys,
-                                                     named, tmp_path,
-                                                     monkeypatch):
-        # the protocol fixes 30 seeds and the budget; a given value would be
-        # silently ignored
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"problem": "mop1", **file_keys}))
+    def test_grids_define_the_paper_protocol(self, monkeypatch):
+        # 30 seeds; 200k evaluations and population 100 on the 2-objective
+        # instances, 400k and 210 on the 3-objective ones; each instance once
+        # per host, nsga2 with running-min and eie, moead with every estimator
+        # that its reference point takes
+        estimators = {"nsga2": ["running-min", "eie"],
+                      "moead": ["running-min", "ut", "drp", "eie"]}
+        seen = {}
+
+        def fake_suite(configs, seeds, parallelism):
+            seen.update(configs=configs, seeds=list(seeds))
+            return [True] * (len(configs) * len(seeds))
+
+        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        monkeypatch.setattr(cli, "emit", lambda done, out: seen.update(out=out))
+        grids = sorted(GRIDS.glob("*.json"))
+        cells, outs, trials = [], set(), 0
+        for path in grids:
+            seen.clear()
+            result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+            assert result.exit_code == 0, result.output
+            assert seen["seeds"] == list(range(30)), path.name
+            ms = {get_problem(c.problem).m for c in seen["configs"]}
+            hosts_ = {c.host.kind for c in seen["configs"]}
+            assert len(ms) == 1 and len(hosts_) == 1, path.name
+            (m,), (host,) = ms, hosts_
+            assert seen["out"] == f"results/paper-{m}d-{host}", path.name
+            for c in seen["configs"]:
+                assert (c.fe_max, c.host.population_size, c.snapshot_every) == (
+                    {2: 200_000, 3: 400_000}[m], {2: 100, 3: 210}[m], 10_000), path.name
+                assert c.epsilon == RunConfig.epsilon
+                cells.append((c.problem, host, c.estimator.kind))
+            outs.add(seen["out"])
+            trials += len(seen["configs"]) * len(seen["seeds"])
+        want = [(p, host, est) for p in preset_names()
+                for host, kinds in estimators.items() for est in kinds]
+        assert sorted(cells) == sorted(want)
+        assert len(outs) == len(grids) == 4
+        assert trials == 3_960
+
+    def test_paper_protocol_flag_is_gone(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(bench, "run_trial", lambda *a: calls.append(a))
-        res = tmp_path / "res"
-        result = CliRunner().invoke(cli_main, [
-            "run", "--config", str(cfg), "--paper-protocol", *flags,
-            "--out", str(res), "--workers", "1",
-        ])
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+        result = CliRunner().invoke(cli_main, ["run", "--paper-protocol"])
         assert result.exit_code == 2, result.output  # click usage error
-        assert "--paper-protocol" in result.output and named in result.output
-        assert not calls and not res.exists()
+        assert "No such option" in result.output and "--paper-protocol" in result.output
+        assert not calls
 
     def test_failed_cell_exits_nonzero_after_emitting_the_rest(self, tmp_path,
                                                               monkeypatch):

@@ -8,12 +8,14 @@ the batch body's on that row (`_evaluate_rows`, `_de_pm_rows`), and a
 variation must leave the random generator in the same state.  The rows
 cover every instance, the box corners, group means on the remap centre,
 position variables at 0 and 1, signed zeros and distance variables on
-their anchors; the variation calls cover 0, 1 and 2 or more mutated
-entries and children clamped onto each bound.  The checks run once in this
+their anchors, and rows just outside the box must raise on both paths;
+the variation calls cover 0, 1 and 2 or more mutated entries and children
+clamped onto each bound.  The checks run once in this
 process and once in a child process kept out of NumPy's AVX-512 kernels.
 """
 
 import numpy as np
+import pytest
 
 from idealbench import generator as gen
 from idealbench import hosts
@@ -39,10 +41,17 @@ def evaluation_rows(params, rng) -> np.ndarray:
     zeros = uniform(20)
     zeros[rng.random((20, n)) < 0.3] = -0.0
     optima = gen.sample_pareto_set(params, 20, rng)
-    edge = uniform(10)  # just outside the box, within evaluate's tolerance
-    edge[:, 0] = -5e-10
     return np.vstack([b.lower, b.upper, corners, centred, ends, zeros, optima,
-                      edge, uniform(200)])
+                      uniform(200)])
+
+
+def outside_rows(params, rng) -> np.ndarray:
+    """Rows 5e-10 past a bound: below 0 in a position variable, above 1 in
+    a distance variable."""
+    edge = params.bounds.sample(10, rng)
+    edge[:5, 0] = -5e-10
+    edge[5:, -1] = 1 + 5e-10
+    return edge
 
 
 def check_evaluations() -> None:
@@ -56,17 +65,22 @@ def check_evaluations() -> None:
         centred = 0
         for i in range(xs.shape[0]):
             row = xs[i:i + 1]
-            # the rows just below 0 take some remaps above 1, and a power of
-            # the negative simplex value that follows is NaN on every path
-            with np.errstate(invalid="ignore"):
-                got = gen.evaluate(row, params)
-                want = (gen._evaluate_rows(row, params),
-                        reference_insert.evaluate(row, params))
+            got = gen.evaluate(row, params)
+            want = (gen._evaluate_rows(row, params),
+                    reference_insert.evaluate(row, params))
             assert all(got.tobytes() == w.tobytes() for w in want), (name, i)
             assert got.shape == (1, params.m)
             sig = gen._group_means(row[:, :params.s], params.position_groups)
             centred += bool((sig == params.chat_vals).all())
         assert centred, f"{name}: no row has its group means on the remap centre"
+        # the box check is exact: past a bound, the one-row path and the
+        # batch body's check both raise
+        edge = outside_rows(params, rng)
+        for i in range(edge.shape[0]):
+            with pytest.raises(ValueError, match="outside the box bounds"):
+                gen.evaluate(edge[i:i + 1], params)
+        with pytest.raises(ValueError, match="outside the box bounds"):
+            gen.evaluate(edge, params)
     # a3 = 2 and 0.5 take NumPy's square and sqrt fast paths for **
     assert {2, 0.5, 1.0} <= exponents
 
