@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,6 +223,9 @@ def run_suite(
         m = {cfg.problem: get_problem(cfg.problem).m for cfg in configs}
         longest_first = sorted(range(len(jobs)), key=lambda i: (
             jobs[i][0].host.kind != "smsemoa", -m[jobs[i][0].problem]))
+        # imported here: a one-worker process never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(run_trial, *jobs[i]) for i in longest_first}
             for i in range(len(jobs)):

@@ -59,21 +59,22 @@ class BoxBounds:
         return self.lower + u * (self.upper - self.lower)
 
 
-def _dense_ranks(objs: np.ndarray) -> np.ndarray:
+def _dense_ranks(objs: np.ndarray) -> tuple:
     """Rank of every value within its objective column, shape (m, N): equal
     values share a rank and ranks count up by one, in the narrowest
     unsigned type that holds N.  Ranks order exactly as the floats compare
     (``-0.0 == 0.0``, infinities at the ends), whatever the sort does with
-    ties."""
+    ties.  Returned with each column's top rank, N - 1 for a column whose
+    values are all distinct."""
     cols = objs.T
     order = np.argsort(cols, axis=1)
     srt = np.take_along_axis(cols, order, axis=1)
     step = np.zeros(cols.shape, dtype=np.min_scalar_type(objs.shape[0]))
     np.not_equal(srt[:, 1:], srt[:, :-1], out=step[:, 1:])
+    dense = np.cumsum(step, axis=1, dtype=step.dtype)
     ranks = np.empty_like(step)
-    np.put_along_axis(ranks, order, np.cumsum(step, axis=1, dtype=step.dtype),
-                      axis=1)
-    return ranks
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks, dense[:, -1]
 
 
 def _copies(ranks: np.ndarray, dtype) -> np.ndarray:
@@ -113,6 +114,8 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     ``le[i, j]`` (i no worse than j in every objective) holds for j's
     dominators and for j's equal copies; counting the copies out once gives
     each row's dominators without the transposed strict-dominance matrix.
+    When some objective's values are all distinct, no two rows are equal
+    and every row is its only copy, so the copies are not counted.
     """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     n = objs.shape[0]
@@ -120,7 +123,7 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
     if np.isnan(objs).any():
         raise ValueError("NaN objective values have no dominance order")
-    ranks = _dense_ranks(objs)
+    ranks, top = _dense_ranks(objs)
     # one pairwise compare per objective; an (N, N, m) broadcast reduced
     # over its short last axis is several times slower
     le, tmp = _dominance_workspace(n)  # le[i, j]: i no worse than j
@@ -129,7 +132,8 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
         np.less_equal(col[:, None], col[None, :], out=tmp)
         le &= tmp
     short = np.min_scalar_type(-n - 1)  # signed, holds -n - 1 .. n
-    n_dom = le.sum(axis=0, dtype=short) - _copies(ranks, short)
+    n_dom = le.sum(axis=0, dtype=short)
+    n_dom -= 1 if n - 1 in top.tolist() else _copies(ranks, short)
     fronts = [np.flatnonzero(n_dom == 0)]
     left = (n if count is None else min(count, n)) - fronts[0].size
     while left > 0:

@@ -205,32 +205,20 @@ def _distinct_triplets(
     (2**32 - k) % k and returns m >> 32.  Every value costs at least one
     word, so the block holds the words still owed.  The replay holds for
     pools of up to 2**32 members, where NumPy takes 32-bit words.
+    ``_equal_size_triplets`` draws from pools of one size.
     """
     sizes = [len(pool) for pool in pools]
-    avoid = avoid.tolist() if avoid is not None else [None] * len(pools)
+    bases = avoid.tolist() if avoid is not None else [None] * len(pools)
     for row, pool in enumerate(pools):
         # checked before any draw, so a rejected call leaves rng untouched
-        if sizes[row] < 4 and sizes[row] - (avoid[row] in pool) < 3:
+        if sizes[row] < 4 and sizes[row] - (bases[row] in pool) < 3:
             raise ValueError(f"row {row}: fewer than 3 members to draw from")
+    if len(set(sizes)) == 1:
+        return _equal_size_triplets(pools, avoid, sizes[0], rng)
     owed = 3 * len(pools)  # the fewest values still to come
     out = []
-    if len(set(sizes)) == 1:
-        values = iter(())
-        for pool, base in zip(pools, avoid):
-            chosen = []
-            while len(chosen) < 3:
-                v = next(values, None)
-                if v is None:
-                    values = iter(rng.integers(0, sizes[0], size=owed).tolist())
-                    continue
-                cand = pool[v]
-                if cand != base and cand not in chosen:
-                    chosen.append(cand)
-                    owed -= 1
-            out.append(chosen)
-        return np.array(out, dtype=int)
     words = iter(())
-    for pool, k, base in zip(pools, sizes, avoid):
+    for pool, k, base in zip(pools, sizes, bases):
         threshold = (0xFFFFFFFF - (k - 1)) % k
         chosen = []
         while len(chosen) < 3:
@@ -248,6 +236,111 @@ def _distinct_triplets(
                 owed -= 1
         out.append(chosen)
     return np.array(out, dtype=int)
+
+
+def _equal_size_triplets(pools: list, avoid: np.ndarray, k: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """``_distinct_triplets`` of pools that all hold k members.
+
+    Rows are drawn as values in [0, k), each naming its row's member.  A
+    pool's members are distinct, so two members are equal just when their
+    values are, and a row's avoided member becomes the value that names it
+    (-1 if none does).  Two or more rows take ``_triplet_values``' array
+    passes; one row takes the scalar rule at once, which is faster than a
+    pass.
+    """
+    rows = len(pools)
+    first = pools[0]
+    if type(first) is range and first.start == 0 and first.step == 1 and (
+            rows == 1 or all(pool is first for pool in pools)):
+        table = None  # each value is its own member
+        skip = avoid
+    else:
+        table = np.asarray(pools)  # row r's member for value v: table[r, v]
+        skip = None
+        if avoid is not None:
+            hit = table == avoid[:, None]
+            skip = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    if rows > 1:
+        out = _triplet_values(rows, skip, k, rng)
+    else:
+        base = None if skip is None else skip.item(0)
+        out = np.array([_scalar_row(base, (), 0, 3, k, rng)[0]])
+    if table is None:
+        return out
+    return table[np.arange(rows)[:, None], out].astype(int, copy=False)
+
+
+def _triplet_values(rows: int, skip: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Three distinct values in [0, k) for each of ``rows`` rows, none equal
+    to the row's ``skip`` entry, in array passes.
+
+    A pass assumes each row takes its next three values and accepts the
+    rows up to the first one whose values repeat one or hit its skipped
+    value.  That row, or one whose values run past the block, takes
+    ``_scalar_row``, and the pass resumes after it.
+    """
+    skips = [None] * rows if skip is None else skip.tolist()
+    skip3 = None if skip is None else np.repeat(skip, 3)
+    out = np.empty((rows, 3), dtype=int)
+    owed = 3 * rows  # the fewest values still to come
+    values = rng.integers(0, k, size=owed)
+    repeat = _repeats(values)
+    pos = row = 0
+    while row < rows:
+        fit = min(rows - row, (values.size - pos) // 3)
+        if fit:
+            ok = fit
+            bad = repeat[pos:pos + 3 * fit:3]
+            at = int(bad.argmax())
+            if bad[at]:
+                ok = at
+            if skip3 is not None and ok:
+                hit = values[pos:pos + 3 * ok] == skip3[3 * row:3 * (row + ok)]
+                at = int(hit.argmax())
+                if hit[at]:
+                    ok = at // 3
+            out[row:row + ok] = values[pos:pos + 3 * ok].reshape(ok, 3)
+            row += ok
+            pos += 3 * ok
+            owed -= 3 * ok
+            if row == rows:
+                break
+        block = values
+        out[row], values, pos = _scalar_row(skips[row], values, pos, owed, k, rng)
+        if values is not block:
+            repeat = _repeats(values)
+        row += 1
+        owed -= 3
+    return out
+
+
+def _scalar_row(skip, values, pos: int, owed: int, k: int,
+                rng: np.random.Generator) -> tuple:
+    """One row's three values by the scalar rule, from ``values[pos]`` on:
+    a value is kept unless it is ``skip`` or already kept.  When the values
+    run out, a new block holds the ``owed`` values still owed (this row's
+    three included).  Returns the values kept, the block and the position
+    after the last value taken."""
+    chosen = []
+    while len(chosen) < 3:
+        if pos == len(values):
+            values = rng.integers(0, k, size=owed - len(chosen))
+            pos = 0
+        v = values.item(pos)
+        pos += 1
+        if v != skip and v not in chosen:
+            chosen.append(v)
+    return chosen, values, pos
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Whether values p, p + 1 and p + 2 hold a repeat, for each p."""
+    near = values[1:] == values[:-1]
+    repeat = near[:-1] | near[1:]
+    repeat |= values[2:] == values[:-2]
+    return repeat
 
 
 def _initial_population(problem, size: int, budget: EvaluationBudget,
@@ -278,15 +371,17 @@ def crowding_distance(objs: np.ndarray, front: np.ndarray | None = None) -> np.n
     is below ``RANGE_GUARD`` adds nothing, and every row of a front of two
     or fewer rows gets infinity.  Sorting by (front, value) puts each front
     on the same positions for every objective, so all fronts take one sort
-    per objective.
+    per objective.  Without labels, each objective of the one front is
+    ordered by a stable argsort of its values, which is that sort's order
+    for a single front.
     """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     k, m = objs.shape
+    if front is None:
+        return _one_front_crowding(objs)
     dist = np.zeros(k)
     if k == 0:
         return dist
-    if front is None:
-        front = np.zeros(k, dtype=int)
     # each front's first and last position in (front, value) order, the
     # positions between them, and the front of each of those
     labels = np.sort(front)
@@ -314,6 +409,23 @@ def crowding_distance(objs: np.ndarray, front: np.ndarray | None = None) -> np.n
             edge, at, at_front = ends, inner, inner_front
         dist[order[edge]] = np.inf
         dist[order[at]] += (col[at + 1] - col[at - 1]) / span[at_front]
+    return dist
+
+
+def _one_front_crowding(objs: np.ndarray) -> np.ndarray:
+    """``crowding_distance`` of one front, a 2-D float array."""
+    k = objs.shape[0]
+    if k <= 2:
+        return np.full(k, np.inf)
+    dist = np.zeros(k)
+    for col in objs.T:
+        order = np.argsort(col, kind="stable")
+        col = col[order]
+        span = col[-1] - col[0]
+        if span < RANGE_GUARD:
+            continue
+        dist[order[0]] = dist[order[-1]] = np.inf
+        dist[order[1:-1]] += (col[2:] - col[:-2]) / span
     return dist
 
 

@@ -365,7 +365,8 @@ class TestSuiteAndEmit:
                 raise RuntimeError("injected failure")
             return (config.problem, config.host.kind, seed)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        # run_suite imports the pool class from its module when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(bench, "run_trial", fake_trial)
         configs = [RunConfig(problem=problem,
                              host=HostConfig(kind=host, population_size=20),
@@ -396,6 +397,23 @@ class TestSuiteAndEmit:
             fe_max=600)]
         run_suite(configs, seeds=[1, 0], parallelism=1)
         assert ran == [("moead", 1), ("moead", 0), ("smsemoa", 1), ("smsemoa", 0)]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a one-worker run never loads concurrent.futures' process pool
+        import os
+        import subprocess
+        import sys
+
+        import idealbench
+
+        script = ("import sys, idealbench.bench; "
+                  "print('concurrent.futures.process' in sys.modules)")
+        src = str(Path(idealbench.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.stdout.strip() == "False"
 
     def test_parallel_matches_serial(self):
         configs = [small_config()]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealbench import hosts
+from idealbench import core, hosts
 from idealbench.core import (BoxBounds, EvaluationBudget, OffspringBatch,
                              clamp_to_bounds, fast_non_dominated_sort,
                              make_rng)
@@ -357,6 +357,72 @@ class TestDistinctTriplets:
         self.assert_matches_scalar(pools, avoid, seed)
         self.assert_matches_scalar([p.tolist() for p in pools], avoid, seed)
         self.assert_matches_scalar([p.tolist() for p in pools], None, seed)
+        # a range first does not make the other pools ranges
+        self.assert_matches_scalar([range(k)] + pools[1:], avoid, seed)
+
+    @staticmethod
+    def typed_pool(kind, k):
+        return {"range": range(k), "list": list(range(k)),
+                "array": np.arange(k)}[kind]
+
+    @pytest.mark.parametrize("kind", ["range", "list", "array"])
+    @pytest.mark.parametrize("k", [4, 5, 9])
+    def test_repeat_at_a_block_end_redraws_mid_row(self, kind, k):
+        # small pools repeat often, so rows run past their block; a block
+        # drawn mid-row owes the row's missing values, not a multiple of 3
+        sizes = []
+
+        class BlockSpy:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng = rng
+
+            def integers(self, low, high, size=None):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size)
+
+        pools = [self.typed_pool(kind, k)] * 6
+        fast, slow = make_rng(40 + k), make_rng(40 + k)
+        for _ in range(20):
+            got = hosts._distinct_triplets(pools, None, BlockSpy(fast))
+            np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, None, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
+        assert any(size % 3 for size in sizes)
+
+    @pytest.mark.parametrize("kind", ["range", "list", "array"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("row", [0, 5, 11])
+    def test_avoided_member_at_each_position(self, kind, at, row):
+        # row ``row`` avoids the member its ``at``-th value names; the seed
+        # is the first whose earlier rows repeat no value, so that row takes
+        # those three values
+        pools = [self.typed_pool(kind, 1000)] * 12
+        for seed in range(50, 100):
+            values = make_rng(seed).integers(0, 1000, size=36)
+            windows = values[:3 * row].reshape(-1, 3).tolist()
+            if all(len(set(w)) == 3 for w in windows):
+                break
+        avoid = np.full(12, -1)
+        avoid[row] = pools[row][int(values[3 * row + at])]
+        self.assert_matches_scalar(pools, avoid, seed, rounds=1)
+        self.assert_matches_scalar(pools, avoid, seed)
+
+    @pytest.mark.parametrize("kind", ["range", "list", "array"])
+    @pytest.mark.parametrize("rows", [1, 2, 30])
+    def test_four_member_pools(self, kind, rows):
+        # with the avoided member inside, each row takes the other three
+        pools = [self.typed_pool(kind, 4)] * rows
+        avoid = make_rng(60 + rows).integers(0, 4, size=rows)
+        self.assert_matches_scalar(pools, avoid, rows)
+        self.assert_matches_scalar(pools, None, rows)
+        distinct = [make_rng(70 + r).permutation(4) + 10 for r in range(rows)]
+        self.assert_matches_scalar(distinct, np.array([p[0] for p in distinct]), rows)
+
+    @pytest.mark.parametrize("kind", ["range", "list", "array"])
+    def test_one_row_with_an_avoided_member(self, kind):
+        pool = self.typed_pool(kind, 21)
+        for base in (0, 7, 20, 99):
+            self.assert_matches_scalar([pool], np.array([base]), base, rounds=50)
 
     @pytest.mark.parametrize("k", [2**31 + 5, 3 * 2**30, 2**33 + 7])
     def test_equal_size_path_at_rejection_heavy_bounds(self, k):
@@ -405,6 +471,48 @@ class TestDominanceSorting:
         objs = np.round(rng.random((60, 3)), 1)
         got = [sorted(f.tolist()) for f in fast_non_dominated_sort(objs)]
         assert got == brute_force_fronts(objs)
+
+    @staticmethod
+    def assert_matches_brute_force(objs, distinct_column):
+        objs = np.asarray(objs, dtype=float)
+        want = brute_force_fronts(objs)
+        # the copy count is skipped exactly when some column is all distinct
+        with mock.patch.object(core, "_copies", wraps=core._copies) as copies:
+            got = [f.tolist() for f in fast_non_dominated_sort(objs)]
+        assert copies.called != distinct_column
+        assert got == want
+        for count in range(1, objs.shape[0] + 1):
+            got = [f.tolist() for f in fast_non_dominated_sort(objs, count=count)]
+            held = np.cumsum([len(f) for f in want])
+            assert got == want[:int(np.searchsorted(held, count)) + 1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_with_a_distinct_column(self, seed):
+        rng = make_rng(80 + seed)
+        objs = np.round(rng.random((40, 3)), 1)  # ties in every column ...
+        objs[:, seed % 3] = rng.permutation(40) / 40  # ... but this one
+        self.assert_matches_brute_force(objs, True)
+        self.assert_matches_brute_force(rng.random((40, 2)), True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_without_a_distinct_column(self, seed):
+        rng = make_rng(90 + seed)
+        objs = np.round(rng.random((40, 3)), 1)
+        objs[rng.random(40) < 0.2] = objs[3]  # duplicated rows
+        self.assert_matches_brute_force(objs, False)
+        twice = rng.random((20, 2))
+        self.assert_matches_brute_force(np.vstack([twice, twice[::-1]]), False)
+
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0: rows 0 and 1 are copies, then row 1 dominates row 0,
+        # and then only the second column is distinct
+        self.assert_matches_brute_force([[-0.0, 0.5], [0.0, 0.5], [1.0, 0.0]], False)
+        self.assert_matches_brute_force([[-0.0, 1.0], [0.0, 0.0], [1.0, 0.0]], False)
+        self.assert_matches_brute_force([[-0.0, 1.0], [0.0, 0.25], [1.0, 0.5],
+                                         [2.0, -0.0]], True)
+
+    def test_one_row(self):
+        self.assert_matches_brute_force([[0.3, -0.0, 7.0]], True)
 
     def test_crowding_boundaries_infinite(self):
         objs = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
@@ -483,6 +591,22 @@ class TestCrowdingOracle:
         for rows in (objs, objs[:1], objs[:2], objs[:3]):
             got = crowding_distance(rows)
             assert got.tobytes() == per_front_crowding_distance(rows).tobytes()
+
+    def test_one_front_with_ties_a_flat_objective_and_small_fronts(self):
+        # ties in the first and last objectives (-0.0 among them), a flat
+        # middle one and one flat below RANGE_GUARD; every prefix, down to
+        # fronts of two, one and no rows
+        rows = np.array([[0.5, 0.25, 1.0, 0.0], [0.5, 0.25, 0.0, 1e-13],
+                         [0.0, 0.25, 0.5, 0.0], [1.0, 0.25, 0.5, 1e-13],
+                         [0.5, 0.25, -0.0, 0.0], [0.0, 0.25, 0.0, 0.0],
+                         [1.0, 0.25, 1.0, 1e-13]])
+        for k in range(rows.shape[0] + 1):
+            for cols in ([0, 1, 2], [0, 2], [1, 3], [2, 0, 3]):
+                front = rows[:k][:, cols]
+                got = crowding_distance(front)
+                assert got.tobytes() == per_front_crowding_distance(front).tobytes()
+                labelled = crowding_distance(front, np.zeros(k, dtype=int))
+                assert got.tobytes() == labelled.tobytes()
 
     def test_flat_and_narrow_fronts(self):
         objs = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0],  # flat in f1
