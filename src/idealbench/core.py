@@ -134,17 +134,21 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     short = np.min_scalar_type(-n - 1)  # signed, holds -n - 1 .. n
     n_dom = le.sum(axis=0, dtype=short)
     n_dom -= 1 if n - 1 in top.tolist() else _copies(ranks, short)
-    fronts = [np.flatnonzero(n_dom == 0)]
-    left = (n if count is None else min(count, n)) - fronts[0].size
-    while left > 0:
+    fronts = []
+    left = n if count is None else min(count, n)
+    while True:
+        front = np.flatnonzero(n_dom == 0)
+        if not front.size:
+            # correct dominator counts always free some remaining row
+            raise RuntimeError("a peel step found an empty front while rows remain")
+        fronts.append(front)
+        left -= front.size
+        if left <= 0:
+            return fronts
         # le[front] marks the rows the front dominates, and the front's own
         # rows (each row's copies are in its front), which leave the count
-        front = fronts[-1]
         n_dom -= le[front].sum(axis=0, dtype=short)
         n_dom[front] = -1
-        fronts.append(np.flatnonzero(n_dom == 0))
-        left -= fronts[-1].size
-    return fronts
 
 
 def simplex_lattice(m: int, h: int) -> np.ndarray:

@@ -41,14 +41,23 @@ def ews_weights(alphas: np.ndarray) -> np.ndarray:
     return w
 
 
+def normalization_span(z_min: np.ndarray, z_max: np.ndarray) -> np.ndarray:
+    """The range ``normalize_objectives`` divides by: ``z_max - z_min``,
+    with 1 where that is below ``NORMALIZATION_GUARD``."""
+    span = z_max - z_min
+    return np.where(span < NORMALIZATION_GUARD, 1.0, span)
+
+
+def _normalized(objs: np.ndarray, z_min: np.ndarray, span: np.ndarray) -> np.ndarray:
+    return (objs - z_min) / span
+
+
 def normalize_objectives(
     objs: np.ndarray, z_min: np.ndarray, z_max: np.ndarray
 ) -> np.ndarray:
     """Scale objectives into [0,1] by the given bounds; degenerate ranges
     fall back to an unscaled difference so the result stays finite."""
-    span = z_max - z_min
-    span = np.where(span < NORMALIZATION_GUARD, 1.0, span)
-    return (objs - z_min) / span
+    return _normalized(objs, z_min, normalization_span(z_min, z_max))
 
 
 def ews_fitness(
@@ -88,6 +97,7 @@ class IdealEstimation:
         self.evaluations_used = 0
         self.z_min = np.zeros(m)
         self.z_max = np.ones(m)
+        self.span = normalization_span(self.z_min, self.z_max)
         # the last batch and each search's (start, end) rows in it
         self.batch = OffspringBatch.empty(problem.n, m)
         self.rows: dict = {}
@@ -95,14 +105,19 @@ class IdealEstimation:
     # -- scoring ----------------------------------------------------------
 
     def _scores(self, fs: np.ndarray, index: int) -> np.ndarray:
+        """``ews_fitness`` of ``fs`` on subproblem ``index`` (its raw
+        objective under ``eie-separate``), with the span of the last
+        refresh."""
+        fs = np.atleast_2d(fs)
         if self.kind == "eie-separate":
-            return np.atleast_2d(fs)[:, index]
-        return ews_fitness(fs, self.weights[index], self.z_min, self.z_max)
+            return fs[:, index]
+        return _normalized(fs, self.z_min, self.span) @ self.weights[index]
 
     def _refresh_normalization(self, pop_fs: np.ndarray) -> None:
         pop_fs = np.atleast_2d(pop_fs)
         self.z_min = pop_fs.min(axis=0)
         self.z_max = pop_fs.max(axis=0)
+        self.span = normalization_span(self.z_min, self.z_max)
 
     # -- lifecycle --------------------------------------------------------
 

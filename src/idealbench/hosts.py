@@ -203,9 +203,13 @@ def _distinct_triplets(
     integer generation in an interval", ACM TOMACS 29(1), 2019): with
     m = x * k, it rejects x while the low half of m is below
     (2**32 - k) % k and returns m >> 32.  Every value costs at least one
-    word, so the block holds the words still owed.  The replay holds for
-    pools of up to 2**32 members, where NumPy takes 32-bit words.
-    ``_equal_size_triplets`` draws from pools of one size.
+    word, so the block holds the words still owed.  ``_word_values``
+    works out each word's value at every pool size once per block, so the
+    row loop only indexes.  A row whose next three values are valid,
+    distinct and miss its avoided member takes them at once; any other
+    row takes them one at a time, skipping rejected words.  The replay
+    holds for pools of up to 2**32 members, where NumPy takes 32-bit
+    words.  ``_equal_size_triplets`` draws from pools of one size.
     """
     sizes = [len(pool) for pool in pools]
     bases = avoid.tolist() if avoid is not None else [None] * len(pools)
@@ -213,29 +217,55 @@ def _distinct_triplets(
         # checked before any draw, so a rejected call leaves rng untouched
         if sizes[row] < 4 and sizes[row] - (bases[row] in pool) < 3:
             raise ValueError(f"row {row}: fewer than 3 members to draw from")
-    if len(set(sizes)) == 1:
+    size_set = set(sizes)
+    if len(size_set) == 1:
         return _equal_size_triplets(pools, avoid, sizes[0], rng)
-    owed = 3 * len(pools)  # the fewest values still to come
+    rows = len(pools)
     out = []
-    words = iter(())
-    for pool, k, base in zip(pools, sizes, bases):
-        threshold = (0xFFFFFFFF - (k - 1)) % k
+    values = {}  # per pool size, the value of each word of the block
+    pos = end = 0
+    for row, (pool, k, base) in enumerate(zip(pools, sizes, bases)):
+        if pos + 3 <= end:
+            a, b, c = values[k][pos:pos + 3]
+            # distinct values name distinct members of the row's pool
+            if a != b and b != c and a != c and a >= 0 and b >= 0 and c >= 0:
+                x, y, z = pool[a], pool[b], pool[c]
+                if base is None or (x != base and y != base and z != base):
+                    out += (x, y, z)
+                    pos += 3
+                    continue
         chosen = []
         while len(chosen) < 3:
-            x = next(words, None)
-            if x is None:
-                words = iter(rng.integers(0, 1 << 32, size=owed,
-                                          dtype=np.uint32).tolist())
-                continue
-            m = x * k
-            if m & 0xFFFFFFFF < threshold:
-                continue  # rejected: the same value takes the next word
-            cand = pool[m >> 32]
-            if cand != base and cand not in chosen:
-                chosen.append(cand)
-                owed -= 1
-        out.append(chosen)
-    return np.array(out, dtype=int)
+            if pos == end:  # a block of the words still owed
+                end = 3 * (rows - row) - len(chosen)
+                values = _word_values(
+                    rng.integers(0, 1 << 32, size=end, dtype=np.uint32), size_set)
+                pos = 0
+            v = values[k][pos]
+            pos += 1
+            if v >= 0:  # at -1 the word is rejected: the next one is drawn
+                cand = pool[v]
+                if cand != base and cand not in chosen:
+                    chosen.append(cand)
+        out += chosen
+    return np.array(out, dtype=int).reshape(rows, 3)
+
+
+def _word_values(words: np.ndarray, sizes) -> dict:
+    """For each pool size k, the value in [0, k) that each 32-bit word of
+    ``words`` gives a scalar ``integers(0, k)``, as a list: ``(x * k) >> 32``,
+    or -1 where Lemire's method rejects the word at k."""
+    wide = words.astype(np.uint64)
+    out = {}
+    for k in sizes:
+        m = wide * k
+        values = (m >> 32).tolist()
+        threshold = (0xFFFFFFFF - (k - 1)) % k
+        if threshold:
+            for at in np.flatnonzero(m.astype(np.uint32) < threshold).tolist():
+                values[at] = -1
+        out[k] = values
+    return out
 
 
 def _equal_size_triplets(pools: list, avoid: np.ndarray, k: int,
@@ -510,23 +540,38 @@ def scalarized_fitness(
     weights: np.ndarray,
     z_ref: np.ndarray,
     scale: np.ndarray,
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tchebycheff fitness of each objective row under each weight vector,
-    shape (len(weights), len(objs)); smaller is better."""
+    shape (len(weights), len(objs)); smaller is better.
+
+    The result is the transpose of a C-ordered (len(objs), len(weights))
+    array, so a row's values under every weight vector are contiguous and
+    ``argmin`` over the weights copies nothing.  ``workspace``, a 1-D float
+    array of at least ``2 * len(weights) * len(objs)`` entries, holds that
+    array and each objective's product; the result is then a view of it,
+    valid until the workspace is used again.  Without one, both are fresh.
+    """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     shifted = (objs - z_ref) / scale
     w = np.maximum(np.atleast_2d(weights), WEIGHT_FLOOR)
-    # one (weights x rows) product per objective, folded into a running
+    shape = (objs.shape[0], w.shape[0])
+    size = shape[0] * shape[1]
+    if workspace is None:
+        workspace = np.empty(2 * size)
+    out = workspace[:size].reshape(shape)
+    term = workspace[size:2 * size].reshape(shape)
+    # one (rows x weights) product per objective, folded into a running
     # maximum in place: max over a short last axis is several times slower
     # than pairwise maxima, and a fresh product per objective faults its
     # pages in anew
-    cols = np.ascontiguousarray(shifted.T)
-    out = np.multiply(w[:, :1], cols[0])
-    term = np.empty_like(out)
+    cols = shifted.T[:, :, None]
+    w_cols = np.ascontiguousarray(w.T)
+    np.multiply(cols[0], w_cols[0], out=out)
     for j in range(1, w.shape[1]):
-        np.multiply(w[:, j:j + 1], cols[j], out=term)
+        np.multiply(cols[j], w_cols[j], out=term)
         np.maximum(out, term, out=out)
-    return out
+    return out.T
 
 
 def own_fitness(
@@ -551,13 +596,14 @@ def global_replacement(fitness: np.ndarray, own: np.ndarray) -> np.ndarray:
     by the newcomers, from the newcomers' (k, newcomers) fitness matrix and
     each incumbent's fitness under its own weight vector: each newcomer
     goes to the subproblem it fits best, and a subproblem takes its best
-    newcomer (the earliest on ties) when that beats its incumbent."""
+    newcomer (the earliest on ties) when that beats its incumbent.
+    ``lexsort`` is stable, so rows tied on (home, fitness) stay in
+    newcomer order."""
     k = own.shape[0]
     new_idx = np.arange(k)
-    cand = np.arange(fitness.shape[1])
     home = np.argmin(fitness, axis=0)
-    fit = fitness[home, cand]
-    order = np.lexsort((cand, fit, home))
+    fit = fitness[home, np.arange(fitness.shape[1])]
+    order = np.lexsort((fit, home))
     first = np.ones(order.size, dtype=bool)
     first[1:] = home[order[1:]] != home[order[:-1]]
     winners = order[first]
@@ -627,9 +673,27 @@ class MoeadHost:
         # mating pools as lists, built once: the triplet draw indexes them
         self._neighbor_pools = self.neighbors.tolist()
         self._full_pool = list(range(self.pop_f.shape[0]))
+        # scalarized_fitness's workspace, grown to the largest generation
+        # seen, so a generation faults in no fresh pages for it
+        self._workspace = np.empty(0)
 
     def _scale(self) -> np.ndarray:
         return np.maximum(self.pop_f.max(axis=0) - self.z_ref, RANGE_GUARD)
+
+    def _replace(self, pool_x: np.ndarray, pool_f: np.ndarray) -> None:
+        """Global replacement from the pool of the members followed by the
+        newcomers.  It reads only the newcomers' columns and each incumbent
+        under its own weight vector, so the (k, k) block is never built."""
+        k = self.pop_size
+        need = 2 * k * (pool_f.shape[0] - k)
+        if self._workspace.size < need:
+            self._workspace = np.empty(need)
+        scale = self._scale()
+        fitness = scalarized_fitness(pool_f[k:], self.weights, self.z_ref,
+                                     scale, self._workspace)
+        own = own_fitness(self.pop_f, self.weights, self.z_ref, scale)
+        new_idx = global_replacement(fitness, own)
+        self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
 
     def step(self, o1: OffspringBatch, budget: EvaluationBudget,
              rng: np.random.Generator) -> OffspringBatch:
@@ -642,16 +706,8 @@ class MoeadHost:
             rng, self.problem.bounds,
         )
         o2 = budget.evaluate(children)
-        pool_f = np.vstack([self.pop_f, o2.fs, o1.fs])
-        pool_x = np.vstack([self.pop_x, o2.xs, o1.xs])
-        # replacement reads only the newcomers' columns and each incumbent
-        # under its own weight vector, so the (k, k) block is never built
-        scale = self._scale()
-        fitness = scalarized_fitness(pool_f[self.pop_size:], self.weights,
-                                     self.z_ref, scale)
-        own = own_fitness(self.pop_f, self.weights, self.z_ref, scale)
-        new_idx = global_replacement(fitness, own)
-        self.pop_x, self.pop_f = pool_x[new_idx], pool_f[new_idx]
+        self._replace(np.vstack([self.pop_x, o2.xs, o1.xs]),
+                      np.vstack([self.pop_f, o2.fs, o1.fs]))
         for batch in (o1, o2):
             if batch.size:
                 self.z_min = np.minimum(self.z_min, batch.fs.min(axis=0))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,52 @@ class TestSortWorkspace:
             tracemalloc.stop()
         assert_same_fronts(fronts, reference_fronts(objs))
         assert peak < n * n / 4  # one (n, n) bool matrix is n * n bytes
+
+
+UNDERCOUNTED_SORT = """
+import resource
+import numpy as np
+from idealbench import core
+
+# a cap a little above what the process maps now: a sort that grows without
+# bound fails here in seconds instead of taking the machine's memory
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20),) * 2)
+rng = core.make_rng(5)
+objs = np.round(rng.random((40, 3)), 1)
+objs[rng.random(40) < 0.3] = objs[0]  # every column holds a duplicate
+first = core.fast_non_dominated_sort(objs)[0]
+short = np.ones(40, dtype=int)
+if {later}:
+    short[first] = 0  # the first front's counts stay right
+copies = core._copies
+core._copies = lambda ranks, dtype: copies(ranks, dtype) - short.astype(dtype)
+try:
+    core.fast_non_dominated_sort(objs)
+except Exception as err:
+    print(type(err).__name__, err)
+"""
+
+
+class TestSortPeel:
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                        reason="the address-space cap reads /proc/self/statm")
+    @pytest.mark.parametrize("later", [False, True])
+    def test_undercounted_copies_raise_instead_of_growing(self, later):
+        # counting one copy too few leaves every row of a front (the first,
+        # or the next one) with a dominator it does not have, so that peel
+        # step finds no row; the sort must stop with an error, not append
+        # empty fronts without end
+        import idealbench
+        src = str(Path(idealbench.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", UNDERCOUNTED_SORT.format(later=later)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.startswith("RuntimeError"), done.stdout
 
 
 class TestBounds:

@@ -188,6 +188,18 @@ class TestComponentLifecycle:
         expected = scaled @ comp.weights[0]
         assert scores == pytest.approx(expected)
 
+    def test_scores_use_the_refreshed_span_byte_for_byte(self):
+        # the guarded span is worked out once per refresh, also where one
+        # objective's range is below the guard
+        _, comp, _, fs, _ = make_component()
+        flat = fs.copy()
+        flat[:, 1] = 0.25
+        for pop in (fs, flat, fs[:7]):
+            comp._refresh_normalization(pop)
+            for i in range(comp.weights.shape[0]):
+                want = ews_fitness(fs, comp.weights[i], pop.min(axis=0), pop.max(axis=0))
+                assert comp._scores(fs, i).tobytes() == want.tobytes()
+
     def test_update_runs_and_refreshes_bounds(self):
         problem, comp, xs, fs, rng = make_component()
         budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)

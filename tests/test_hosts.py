@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -434,6 +435,72 @@ class TestDistinctTriplets:
         self.assert_matches_scalar(pools, None, 8)
         self.assert_matches_scalar(pools, make_rng(9).integers(0, k, size=40), 9)
 
+    def test_block_rejected_at_one_pool_size_only(self):
+        # Lemire's method rejects about half the words at 2**31 + 5 and
+        # almost none at 10, so one block's words mean a value at one size
+        # and a rejection at the other
+        big, small = 2**31 + 5, 10
+        pools = [range(big), range(small)] * 20
+        block = make_rng(10).integers(0, 1 << 32, size=3 * len(pools),
+                                      dtype=np.uint32)
+        values = hosts._word_values(block, {big, small})
+        assert any(a < 0 <= b for a, b in zip(values[big], values[small]))
+        assert min(values[small]) >= 0
+        self.assert_matches_scalar(pools, None, 10)
+        self.assert_matches_scalar([list(p) if len(p) == small else p for p in pools],
+                                   np.arange(40) % 7, 10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refill_mid_row_with_mixed_sizes(self, seed):
+        # pools of 4 and 5 members repeat often, so rows run past their
+        # block; a block drawn mid-row owes the row's missing values
+        sizes = []
+
+        class BlockSpy:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng = rng
+
+            def integers(self, low, high, size=None, dtype=np.int64):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size, dtype=dtype)
+
+        pools = [list(range(4)), np.arange(5) + 10] * 5
+        fast, slow = make_rng(50 + seed), make_rng(50 + seed)
+        for _ in range(20):
+            got = hosts._distinct_triplets(pools, None, BlockSpy(fast))
+            np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, None, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
+        assert any(size % 3 for size in sizes)
+
+    @pytest.mark.parametrize("prob", [1.0, hosts.MATE_NEIGHBORHOOD_PROB])
+    def test_moead_steps_match_scalar_draws(self, prob, monkeypatch):
+        # at probability 1 every row mates in its neighbourhood: pools of
+        # one size, as lists, which take _equal_size_triplets' table path
+        calls = []
+        draw = hosts._distinct_triplets
+
+        def checked(pools, avoid, rng):
+            slow = make_rng(0)
+            slow.bit_generator.state = rng.bit_generator.state
+            got = draw(pools, avoid, rng)
+            np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, avoid, slow))
+            assert rng.bit_generator.state == slow.bit_generator.state
+            calls.append(len({len(pool) for pool in pools}))
+            return got
+
+        monkeypatch.setattr(hosts, "MATE_NEIGHBORHOOD_PROB", prob)
+        monkeypatch.setattr(hosts, "_distinct_triplets", checked)
+        problem = get_problem("mop2")
+        rng = make_rng(27)
+        budget = EvaluationBudget(1_000, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="moead", population_size=100),
+                         budget, rng)
+        empty = OffspringBatch.empty(problem.n, problem.m)
+        while not budget.exhausted:
+            host.step(empty, budget, rng)
+        assert calls == ([1] if prob == 1.0 else [2]) * 9
+
     def test_rows_are_distinct_and_avoid_the_base(self):
         rng = make_rng(21)
         pools = [np.arange(4), np.arange(10, 13), np.arange(50)]
@@ -812,6 +879,47 @@ class TestWeightsAndScalarization:
         want = reference_tchebycheff(objs, weights, z_ref, scale)
         assert got.shape == want.shape == ((100, 300) if m == 2 else (210, 420))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_tchebycheff_through_a_reused_workspace(self, m, layout):
+        # newcomer counts grow and then shrink; stale entries of a larger
+        # generation stay behind in the workspace
+        objs, weights, z_ref, scale = tchebycheff_inputs(m, layout)
+        k, rows = len(weights), objs.shape[0]
+        workspace = np.full(2 * k * rows, np.nan)
+        for count in (40, 150, rows, 90, 8, 1, 0):
+            got = scalarized_fitness(objs[:count], weights, z_ref, scale, workspace)
+            want = reference_tchebycheff(objs[:count], weights, z_ref, scale)
+            assert got.shape == want.shape == (k, count)
+            assert got.tobytes() == want.tobytes()
+            assert count == 0 or np.shares_memory(got, workspace)
+
+    def test_warm_replacement_allocates_no_fitness_matrix(self):
+        problem = get_problem("mop2")
+        rng = make_rng(28)
+        budget = EvaluationBudget(10_000, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="moead", population_size=300),
+                         budget, rng)
+        k, grown = host.pop_size, []
+
+        def newcomers(count):
+            xs = problem.bounds.sample(count, rng)
+            return (np.vstack([host.pop_x, xs]),
+                    np.vstack([host.pop_f, problem.evaluate_batch(xs)]))
+
+        host._replace(*newcomers(400))
+        for count in (400, 250):
+            pool_x, pool_f = newcomers(count)
+            tracemalloc.start()
+            try:
+                host._replace(pool_x, pool_f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            grown.append(host._workspace.size)
+            assert peak < k * count * 8 / 4  # one (k, count) float matrix
+        assert grown == [2 * k * 400] * 2
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
