@@ -29,6 +29,9 @@ ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
 MATE_NEIGHBORHOOD_PROB = 0.9  # MOEA/D mates within the neighbourhood
+# words per row in the mixed-size draw's first block: a row of a k-member
+# pool takes k/k + k/(k-1) + k/(k-2) words on average, 3.36 at k = 10
+BLOCK_WORDS_PER_ROW = 4
 DE_F = 0.5  # DE/rand/1 scale factor
 DE_CR = 0.9  # binomial crossover rate
 PM_ETA = 50.0  # polynomial mutation's distribution index; its rate is 1/n
@@ -192,7 +195,8 @@ def _distinct_triplets(
     Each draw is the value of a scalar ``rng.integers(0, len(pool))``, and
     the generator ends in the state those scalar calls leave.  Every row
     takes at least three values, so the values still owed are a lower
-    bound on the draws to come, and each block draws only that many.
+    bound on the draws to come, and a block drawn when the values run out
+    draws only that many.
 
     When every pool has the same size k (NSGA-II's and SMS-EMOA's full
     pools), each block is ``rng.integers(0, k, size=owed)``, whose values
@@ -203,27 +207,37 @@ def _distinct_triplets(
     integer generation in an interval", ACM TOMACS 29(1), 2019): with
     m = x * k, it rejects x while the low half of m is below
     (2**32 - k) % k and returns m >> 32.  Every value costs at least one
-    word, so the block holds the words still owed.  ``_word_values``
-    works out each word's value at every pool size once per block, so the
-    row loop only indexes.  A row whose next three values are valid,
-    distinct and miss its avoided member takes them at once; any other
-    row takes them one at a time, skipping rejected words.  The replay
-    holds for pools of up to 2**32 members, where NumPy takes 32-bit
-    words.  ``_equal_size_triplets`` draws from pools of one size.
+    word.  The first block holds ``BLOCK_WORDS_PER_ROW`` words a row,
+    more than most calls take; when the call ends inside it, the generator
+    goes back to its state before the block and draws again only the
+    words taken.  A block drawn later holds the words still owed.
+    ``_word_values`` works out each word's value at every pool size once
+    per block, so the row loop only indexes.  A row whose next three
+    values are valid, distinct and miss its avoided member takes them at
+    once; any other row takes them one at a time, skipping rejected words.
+    The replay holds for pools of up to 2**32 members, where NumPy takes
+    32-bit words.  ``_equal_size_triplets`` draws from pools of one size.
     """
     sizes = [len(pool) for pool in pools]
     bases = avoid.tolist() if avoid is not None else [None] * len(pools)
-    for row, pool in enumerate(pools):
-        # checked before any draw, so a rejected call leaves rng untouched
-        if sizes[row] < 4 and sizes[row] - (bases[row] in pool) < 3:
-            raise ValueError(f"row {row}: fewer than 3 members to draw from")
+    if min(sizes) < 4:
+        for row, pool in enumerate(pools):
+            # checked before any draw, so a rejected call leaves rng untouched
+            if sizes[row] < 4 and sizes[row] - (bases[row] in pool) < 3:
+                raise ValueError(f"row {row}: fewer than 3 members to draw from")
     size_set = set(sizes)
     if len(size_set) == 1:
         return _equal_size_triplets(pools, avoid, sizes[0], rng)
     rows = len(pools)
     out = []
-    values = {}  # per pool size, the value of each word of the block
-    pos = end = 0
+    # a block costs far more than its words, so the first holds more words
+    # than most calls take and the call gives back those it leaves unused
+    saved = rng.bit_generator.state
+    end = BLOCK_WORDS_PER_ROW * rows
+    values = _word_values(rng.integers(0, 1 << 32, size=end, dtype=np.uint64),
+                          size_set)
+    spare = True
+    pos = 0
     for row, (pool, k, base) in enumerate(zip(pools, sizes, bases)):
         if pos + 3 <= end:
             a, b, c = values[k][pos:pos + 3]
@@ -239,7 +253,8 @@ def _distinct_triplets(
             if pos == end:  # a block of the words still owed
                 end = 3 * (rows - row) - len(chosen)
                 values = _word_values(
-                    rng.integers(0, 1 << 32, size=end, dtype=np.uint32), size_set)
+                    rng.integers(0, 1 << 32, size=end, dtype=np.uint64), size_set)
+                spare = False
                 pos = 0
             v = values[k][pos]
             pos += 1
@@ -248,17 +263,22 @@ def _distinct_triplets(
                 if cand != base and cand not in chosen:
                     chosen.append(cand)
         out += chosen
+    if spare:
+        # back to the state before the first block, then forward by the
+        # words taken: the state the scalar calls leave
+        rng.bit_generator.state = saved
+        rng.integers(0, 1 << 32, size=pos, dtype=np.uint64)
     return np.array(out, dtype=int).reshape(rows, 3)
 
 
 def _word_values(words: np.ndarray, sizes) -> dict:
     """For each pool size k, the value in [0, k) that each 32-bit word of
-    ``words`` gives a scalar ``integers(0, k)``, as a list: ``(x * k) >> 32``,
-    or -1 where Lemire's method rejects the word at k."""
-    wide = words.astype(np.uint64)
+    ``words`` (held as uint64) gives a scalar ``integers(0, k)``, as a
+    list: ``(x * k) >> 32``, or -1 where Lemire's method rejects the word
+    at k."""
     out = {}
     for k in sizes:
-        m = wide * k
+        m = words * k
         values = (m >> 32).tolist()
         threshold = (0xFFFFFFFF - (k - 1)) % k
         if threshold:

@@ -441,8 +441,8 @@ class TestDistinctTriplets:
         # and a rejection at the other
         big, small = 2**31 + 5, 10
         pools = [range(big), range(small)] * 20
-        block = make_rng(10).integers(0, 1 << 32, size=3 * len(pools),
-                                      dtype=np.uint32)
+        block = make_rng(10).integers(0, 1 << 32, dtype=np.uint64,
+                                      size=hosts.BLOCK_WORDS_PER_ROW * len(pools))
         values = hosts._word_values(block, {big, small})
         assert any(a < 0 <= b for a, b in zip(values[big], values[small]))
         assert min(values[small]) >= 0
@@ -451,27 +451,26 @@ class TestDistinctTriplets:
                                    np.arange(40) % 7, 10)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_refill_mid_row_with_mixed_sizes(self, seed):
-        # pools of 4 and 5 members repeat often, so rows run past their
-        # block; a block drawn mid-row owes the row's missing values
-        sizes = []
+    def test_refill_mid_row_with_mixed_sizes(self, seed, monkeypatch):
+        # pools of 4 and 5 members take about 4.1 words a row, more than
+        # the first block holds, so rows run past it; a block drawn mid-row
+        # owes the row's missing values
+        blocks = []
+        word_values = hosts._word_values
 
-        class BlockSpy:
-            def __init__(self, rng):
-                self.bit_generator = rng.bit_generator
-                self.rng = rng
+        def spy(words, sizes):
+            blocks[-1] += 1
+            return word_values(words, sizes)
 
-            def integers(self, low, high, size=None, dtype=np.int64):
-                sizes.append(size)
-                return self.rng.integers(low, high, size=size, dtype=dtype)
-
+        monkeypatch.setattr(hosts, "_word_values", spy)
         pools = [list(range(4)), np.arange(5) + 10] * 5
         fast, slow = make_rng(50 + seed), make_rng(50 + seed)
         for _ in range(20):
-            got = hosts._distinct_triplets(pools, None, BlockSpy(fast))
+            blocks.append(0)
+            got = hosts._distinct_triplets(pools, None, fast)
             np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, None, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
-        assert any(size % 3 for size in sizes)
+        assert 1 in blocks and max(blocks) > 1
 
     @pytest.mark.parametrize("prob", [1.0, hosts.MATE_NEIGHBORHOOD_PROB])
     def test_moead_steps_match_scalar_draws(self, prob, monkeypatch):
