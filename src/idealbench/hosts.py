@@ -236,7 +236,6 @@ def _distinct_triplets(
     end = BLOCK_WORDS_PER_ROW * rows
     values = _word_values(rng.integers(0, 1 << 32, size=end, dtype=np.uint64),
                           size_set)
-    spare = True
     pos = 0
     for row, (pool, k, base) in enumerate(zip(pools, sizes, bases)):
         if pos + 3 <= end:
@@ -254,7 +253,7 @@ def _distinct_triplets(
                 end = 3 * (rows - row) - len(chosen)
                 values = _word_values(
                     rng.integers(0, 1 << 32, size=end, dtype=np.uint64), size_set)
-                spare = False
+                saved = None  # the first block is used up: nothing to give back
                 pos = 0
             v = values[k][pos]
             pos += 1
@@ -263,7 +262,7 @@ def _distinct_triplets(
                 if cand != base and cand not in chosen:
                     chosen.append(cand)
         out += chosen
-    if spare:
+    if saved is not None:
         # back to the state before the first block, then forward by the
         # words taken: the state the scalar calls leave
         rng.bit_generator.state = saved
