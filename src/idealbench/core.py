@@ -115,7 +115,9 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     dominators and for j's equal copies; counting the copies out once gives
     each row's dominators without the transposed strict-dominance matrix.
     When some objective's values are all distinct, no two rows are equal
-    and every row is its only copy, so the copies are not counted.
+    and every row is its only copy, so the copies are not counted.  A peel
+    step that frees no row while rows remain, which only wrong counts can
+    cause, raises ``RuntimeError``.
     """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     n = objs.shape[0]
