@@ -3,10 +3,11 @@ simplex lattices, the evaluation budget and the batches of evaluated rows
 it returns, and the RNG contract.
 
 Everything in this module is pure and operates on plain ``numpy`` arrays of
-float64, except that ``fast_non_dominated_sort`` builds its dominance
-matrices in one private bool workspace that grows to the largest sort seen
-and is reused by every later call, so a generation's sort does not fault in
-fresh pages.  That is safe because nothing the sort returns aliases the
+float64, except that ``fast_non_dominated_sort`` builds its packed sets of
+rows (N rows of about N / 64 words each) in one private word workspace that
+grows to the largest sort seen and is reused by every later call, so a warm
+sort allocates no word array, only index and byte arrays far smaller than
+the sets.  That is safe because nothing the sort returns aliases the
 workspace, and because each process runs one trial at a time: no two sorts
 of a process overlap.  Decision vectors are 1-D arrays of length ``n``;
 objective vectors are 1-D arrays of length ``m``.  Batches are 2-D arrays
@@ -59,47 +60,70 @@ class BoxBounds:
         return self.lower + u * (self.upper - self.lower)
 
 
-def _dense_ranks(objs: np.ndarray) -> tuple:
-    """Rank of every value within its objective column, shape (m, N): equal
-    values share a rank and ranks count up by one, in the narrowest
-    unsigned type that holds N.  Ranks order exactly as the floats compare
-    (``-0.0 == 0.0``, infinities at the ends), whatever the sort does with
-    ties.  Returned with each column's top rank, N - 1 for a column whose
-    values are all distinct."""
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_words = np.empty(0, dtype="<u8")
+
+
+def _word_workspace(n: int, w: int) -> tuple:
+    """An (n + 1, w) and three (n, w) views of the sort's private word
+    workspace, grown to ``(4 n + 1) w`` words when it is smaller; their
+    contents are stale."""
+    global _words
+    size = n * w
+    if _words.size < 4 * size + w:
+        _words = np.empty(4 * size + w, dtype="<u8")
+    first = _words[:size + w].reshape(n + 1, w)
+    rest = _words[size + w:4 * size + w].reshape(3, n, w)
+    return (first, *rest)
+
+
+def _copies(no_worse: np.ndarray, no_better: np.ndarray, dtype) -> np.ndarray:
+    """How many rows (itself included) equal each row: those in both of its
+    sets of rows."""
+    return np.bitwise_count(no_worse & no_better).sum(axis=1, dtype=dtype)
+
+
+def _row_sets(objs: np.ndarray) -> tuple:
+    """Each row's ``no_worse`` and ``no_better`` sets, as (N, w) views of
+    the word workspace, and whether some column's values are all distinct
+    (see ``fast_non_dominated_sort``)."""
+    n = objs.shape[0]
+    w = (n + 63) >> 6  # words per set of rows
+    upto, tmp, no_worse, no_better = _word_workspace(n, w)
     cols = objs.T
     order = np.argsort(cols, axis=1)
-    srt = np.take_along_axis(cols, order, axis=1)
-    step = np.zeros(cols.shape, dtype=np.min_scalar_type(objs.shape[0]))
-    np.not_equal(srt[:, 1:], srt[:, :-1], out=step[:, 1:])
-    dense = np.cumsum(step, axis=1, dtype=step.dtype)
-    ranks = np.empty_like(step)
-    np.put_along_axis(ranks, order, dense, axis=1)
-    return ranks, dense[:, -1]
-
-
-def _copies(ranks: np.ndarray, dtype) -> np.ndarray:
-    """How many rows (itself included) equal each row."""
-    order = np.lexsort(ranks)
-    srt = ranks[:, order]
-    first = np.ones(srt.shape[1], dtype=bool)
-    np.any(srt[:, 1:] != srt[:, :-1], axis=0, out=first[1:])
-    group = np.cumsum(first) - 1
-    out = np.empty(srt.shape[1], dtype=dtype)
-    out[order] = np.bincount(group)[group]
-    return out
-
-
-_workspace = np.empty(0, dtype=bool)
-
-
-def _dominance_workspace(n: int) -> tuple:
-    """Two (n, n) bool views of the sort's private workspace, grown to
-    ``2 n**2`` bytes when it is smaller; their contents are stale."""
-    global _workspace
-    if _workspace.size < 2 * n * n:
-        _workspace = np.empty(2 * n * n, dtype=bool)
-    return (_workspace[:n * n].reshape(n, n),
-            _workspace[n * n:2 * n * n].reshape(n, n))
+    rows = np.arange(n)
+    base = rows * w  # each sorted position's first word
+    hi = np.empty(n, dtype=np.intp)
+    lo = np.empty(n, dtype=np.intp)
+    distinct = False
+    upto[0] = 0
+    for k, col in enumerate(cols):
+        at = order[k]
+        srt = col[at]
+        tie = srt[1:] == srt[:-1]
+        tmp.fill(0)
+        tmp.reshape(-1)[base + (at >> 6)] = _BITS[at & 63]
+        np.bitwise_or.accumulate(tmp, axis=0, out=upto[1:])  # upto[p]: positions < p
+        if tie.any():
+            ends = np.where(np.append(tie, False), n, rows)
+            last = np.minimum.accumulate(ends[::-1])[::-1]
+            first = np.maximum.accumulate(np.where(np.insert(tie, 0, False), 0, rows))
+        else:
+            distinct = True
+            last = first = rows
+        hi[at] = last
+        lo[at] = first
+        if k == 0:
+            np.take(upto[1:], hi, axis=0, out=no_worse, mode="clip")
+            np.take(upto, lo, axis=0, out=no_better, mode="clip")
+        else:
+            np.take(upto[1:], hi, axis=0, out=tmp, mode="clip")
+            no_worse &= tmp
+            np.take(upto, lo, axis=0, out=tmp, mode="clip")
+            no_better |= tmp
+    np.invert(no_better, out=no_better)  # was: better in some objective
+    return no_worse, no_better, distinct
 
 
 def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
@@ -108,16 +132,23 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
     subset.  With ``count``, peeling stops at the shortest prefix of fronts
     that holds ``count`` or more members.
 
-    Rows are compared on the dense ranks of each objective, which order
-    exactly like the floats and compare several times faster.  NaN, which
-    float compares leave incomparable, has no such rank and is rejected.
-    ``le[i, j]`` (i no worse than j in every objective) holds for j's
-    dominators and for j's equal copies; counting the copies out once gives
-    each row's dominators without the transposed strict-dominance matrix.
+    Sets of rows are packed 64 to a little-endian word, row i at bit i % 64
+    of word i // 64.  Per objective, the rows are sorted and a running OR
+    over their bits gives, at each sorted position, the rows up to it.  A
+    row takes the set up to the last position of its tie group (the rows no
+    worse than it in that objective) and the set before the first (those
+    strictly better).  ``no_worse[j]``, the AND over objectives of the
+    first, holds j's dominators and j's equal copies; ``no_better[i]``, the
+    complement of the OR of the second, holds the rows i is no worse than.
+    Ties are those of float compares (``-0.0 == 0.0``, infinities equal),
+    and NaN, which compares with nothing, is rejected.  Counting each row's
+    copies out of the popcount of ``no_worse`` once gives its dominators.
     When some objective's values are all distinct, no two rows are equal
     and every row is its only copy, so the copies are not counted.  A peel
-    step that frees no row while rows remain, which only wrong counts can
-    cause, raises ``RuntimeError``.
+    step subtracts, from every row, the front's rows no worse than it; the
+    front's own rows (each row's copies are in its front) go below zero.  A
+    peel step that frees no row while rows remain, which only wrong counts
+    can cause, raises ``RuntimeError``.
     """
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     n = objs.shape[0]
@@ -125,21 +156,15 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
         raise ValueError("expected a non-empty 2-D array of objective vectors")
     if np.isnan(objs).any():
         raise ValueError("NaN objective values have no dominance order")
-    ranks, top = _dense_ranks(objs)
-    # one pairwise compare per objective; an (N, N, m) broadcast reduced
-    # over its short last axis is several times slower
-    le, tmp = _dominance_workspace(n)  # le[i, j]: i no worse than j
-    np.less_equal(ranks[0][:, None], ranks[0][None, :], out=le)
-    for col in ranks[1:]:
-        np.less_equal(col[:, None], col[None, :], out=tmp)
-        le &= tmp
+    no_worse, no_better, distinct = _row_sets(objs)
     short = np.min_scalar_type(-n - 1)  # signed, holds -n - 1 .. n
-    n_dom = le.sum(axis=0, dtype=short)
-    n_dom -= 1 if n - 1 in top.tolist() else _copies(ranks, short)
+    # a byte a word, then words along the rows, so the sum runs down columns
+    n_dom = np.ascontiguousarray(np.bitwise_count(no_worse).T).sum(axis=0, dtype=short)
+    n_dom -= 1 if distinct else _copies(no_worse, no_better, short)
     fronts = []
     left = n if count is None else min(count, n)
     while True:
-        front = np.flatnonzero(n_dom == 0)
+        front = (n_dom == 0).nonzero()[0]
         if not front.size:
             # correct dominator counts always free some remaining row
             raise RuntimeError("a peel step found an empty front while rows remain")
@@ -147,10 +172,11 @@ def fast_non_dominated_sort(objs: np.ndarray, count: int | None = None) -> list:
         left -= front.size
         if left <= 0:
             return fronts
-        # le[front] marks the rows the front dominates, and the front's own
-        # rows (each row's copies are in its front), which leave the count
-        n_dom -= le[front].sum(axis=0, dtype=short)
-        n_dom[front] = -1
+        # the front's no_better rows, a byte a bit, 32 rows at a time
+        for at in range(0, front.size, 32):
+            chunk = no_better[front[at:at + 32]].view(np.uint8)
+            n_dom -= np.unpackbits(chunk, axis=1, count=n, bitorder="little").sum(
+                axis=0, dtype=np.uint8)
 
 
 def simplex_lattice(m: int, h: int) -> np.ndarray:

@@ -29,8 +29,9 @@ ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
 MATE_NEIGHBORHOOD_PROB = 0.9  # MOEA/D mates within the neighbourhood
-# words per row in the mixed-size draw's first block: a row of a k-member
-# pool takes k/k + k/(k-1) + k/(k-2) words on average, 3.36 at k = 10
+# draws per row in a triplet call's first block (words for pools of mixed
+# sizes, values for pools of one size): a row of a k-member pool takes
+# k/k + k/(k-1) + k/(k-2) on average, 3.36 at k = 10 and 3.03 at k = 210
 BLOCK_WORDS_PER_ROW = 4
 DE_F = 0.5  # DE/rand/1 scale factor
 DE_CR = 0.9  # binomial crossover rate
@@ -193,26 +194,26 @@ def _distinct_triplets(
     distinct indices, none equal to the row's ``avoid`` entry.
 
     Each draw is the value of a scalar ``rng.integers(0, len(pool))``, and
-    the generator ends in the state those scalar calls leave.  Every row
-    takes at least three values, so the values still owed are a lower
-    bound on the draws to come, and a block drawn when the values run out
-    draws only that many.
+    the generator ends in the state those scalar calls leave.  Draws come
+    in blocks, since a block costs far more than its draws.  The first
+    block holds ``BLOCK_WORDS_PER_ROW`` draws a row, more than most calls
+    take; when the call ends inside it, the generator goes back to its
+    state before the block and draws again only the draws taken.  Every
+    row takes at least three values, so the values still owed are a lower
+    bound on the draws to come, and a block drawn when the first runs out
+    holds only that many.
 
     When every pool has the same size k (NSGA-II's and SMS-EMOA's full
-    pools), each block is ``rng.integers(0, k, size=owed)``, whose values
-    are the scalar calls' values.  Pools of mixed sizes (MOEA/D's
+    pools), a block is ``rng.integers(0, k, size=...)``, whose values are
+    the scalar calls' values.  Pools of mixed sizes (MOEA/D's
     neighbourhoods beside full pools) replay the raw 32-bit words those
     calls consume instead, since a block of values cannot span two bounds.
     NumPy bounds a word x by Lemire's multiply-and-reject ("Fast random
     integer generation in an interval", ACM TOMACS 29(1), 2019): with
     m = x * k, it rejects x while the low half of m is below
     (2**32 - k) % k and returns m >> 32.  Every value costs at least one
-    word.  The first block holds ``BLOCK_WORDS_PER_ROW`` words a row,
-    more than most calls take; when the call ends inside it, the generator
-    goes back to its state before the block and draws again only the
-    words taken.  A block drawn later holds the words still owed.
-    ``_word_values`` works out each word's value at every pool size once
-    per block, so the row loop only indexes.  A row whose next three
+    word.  ``_word_values`` works out each word's value at every pool size
+    once per block, so the row loop only indexes.  A row whose next three
     values are valid, distinct and miss its avoided member takes them at
     once; any other row takes them one at a time, skipping rejected words.
     The replay holds for pools of up to 2**32 members, where NumPy takes
@@ -230,9 +231,7 @@ def _distinct_triplets(
         return _equal_size_triplets(pools, avoid, sizes[0], rng)
     rows = len(pools)
     out = []
-    # a block costs far more than its words, so the first holds more words
-    # than most calls take and the call gives back those it leaves unused
-    saved = rng.bit_generator.state
+    saved = rng.bit_generator.state  # the first block's give-back
     end = BLOCK_WORDS_PER_ROW * rows
     values = _word_values(rng.integers(0, 1 << 32, size=end, dtype=np.uint64),
                           size_set)
@@ -328,13 +327,15 @@ def _triplet_values(rows: int, skip: np.ndarray, k: int,
     A pass assumes each row takes its next three values and accepts the
     rows up to the first one whose values repeat one or hit its skipped
     value.  That row, or one whose values run past the block, takes
-    ``_scalar_row``, and the pass resumes after it.
+    ``_scalar_row``, and the pass resumes after it.  The first block gives
+    back the values it leaves unused, as in ``_distinct_triplets``.
     """
     skips = [None] * rows if skip is None else skip.tolist()
     skip3 = None if skip is None else np.repeat(skip, 3)
     out = np.empty((rows, 3), dtype=int)
     owed = 3 * rows  # the fewest values still to come
-    values = rng.integers(0, k, size=owed)
+    saved = rng.bit_generator.state  # the first block's give-back
+    values = first = rng.integers(0, k, size=BLOCK_WORDS_PER_ROW * rows)
     repeat = _repeats(values)
     pos = row = 0
     while row < rows:
@@ -362,6 +363,11 @@ def _triplet_values(rows: int, skip: np.ndarray, k: int,
             repeat = _repeats(values)
         row += 1
         owed -= 3
+    if values is first:
+        # back to the state before the first block, then forward by the
+        # values taken: the state the scalar calls leave
+        rng.bit_generator.state = saved
+        rng.integers(0, k, size=pos)
     return out
 
 

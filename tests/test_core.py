@@ -173,9 +173,53 @@ class TestSortOracle:
             fast_non_dominated_sort(objs)
 
 
+class TestSortPacking:
+    """Sets of rows are packed 64 to a word: pools on and around each word
+    boundary, with ties in every column, many equal copies, signed zeros
+    and infinities."""
+
+    LEVELS = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+
+    @classmethod
+    def pools(cls, size: int) -> list:
+        rng = make_rng(size)
+        tied = rng.choice(cls.LEVELS, (size, 3))  # at most 343 distinct rows
+        kinds = rng.choice(cls.LEVELS, (max(1, size // 16), 2))
+        copied = kinds[rng.integers(0, kinds.shape[0], size)]
+        shifted = rng.random((size, 3)) + rng.random((size, 1))  # many fronts
+        shifted[rng.random(size) < 0.2] = shifted[0]
+        shifted[rng.random(size) < 0.1, 1] = -0.0
+        return [tied, copied, shifted]
+
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 127, 128, 129,
+                                      191, 192, 193, 700])
+    def test_pools_at_word_boundaries(self, size):
+        for objs in self.pools(size):
+            for count in (None, 1, (size + 1) // 2, size):
+                assert_same_fronts(fast_non_dominated_sort(objs, count=count),
+                                   reference_fronts(objs, count=count))
+
+    @pytest.mark.parametrize("size", [33, 64, 65, 129, 700])
+    def test_long_fronts_are_peeled(self, size):
+        # a front of ``size`` rows, the same rows one worse in every
+        # objective, then 40 copies of one row two worse: the two long
+        # fronts are peeled 32 rows at a time
+        t = np.linspace(0.0, 1.0, size)
+        line = np.column_stack([t, 1.0 - t, np.full(size, np.inf)])
+        line[::5, 2] = -0.0
+        objs = np.vstack([line, line + 1.0, np.repeat(line[:1] + 2.0, 40, axis=0)])
+        objs = objs[make_rng(size).permutation(objs.shape[0])]
+        fronts = fast_non_dominated_sort(objs)
+        assert [f.size for f in fronts[:2]] == [size, size]
+        assert_same_fronts(fronts, reference_fronts(objs))
+        for count in (size, size + 1, 2 * size + 1):
+            assert_same_fronts(fast_non_dominated_sort(objs, count=count),
+                               reference_fronts(objs, count=count))
+
+
 class TestSortWorkspace:
-    """The sort builds its dominance matrices in a private workspace that
-    later calls reuse."""
+    """The sort builds its packed sets of rows in a private word workspace
+    that later calls reuse."""
 
     def test_no_state_leaks_between_calls(self):
         rng = make_rng(615)
@@ -220,7 +264,8 @@ short = np.ones(40, dtype=int)
 if {later}:
     short[first] = 0  # the first front's counts stay right
 copies = core._copies
-core._copies = lambda ranks, dtype: copies(ranks, dtype) - short.astype(dtype)
+core._copies = lambda no_worse, no_better, dtype: (
+    copies(no_worse, no_better, dtype) - short.astype(dtype))
 try:
     core.fast_non_dominated_sort(objs)
 except Exception as err:

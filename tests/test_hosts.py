@@ -335,6 +335,33 @@ class TestDistinctTriplets:
         self.assert_matches_scalar([np.arange(211)] * 211, avoid, seed)
         self.assert_matches_scalar([range(211)] * 211, avoid, seed)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nsga2_call_draws_one_block(self, seed):
+        # a 210-row call takes about 3.03 values a row: all of them from
+        # the first block, which then gives back those it left unused, so
+        # the generator draws that block and the values taken, nothing more
+        sizes = []
+
+        class IntegersSpy:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+                self.rng = rng
+
+            def integers(self, low, high, size=None):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size)
+
+        pools = [range(210)] * 210
+        fast, slow = make_rng(seed), make_rng(seed)
+        for call in range(10):
+            avoid = make_rng(400 + 10 * seed + call).integers(0, 210, size=210)
+            sizes.clear()
+            got = hosts._distinct_triplets(pools, avoid, IntegersSpy(fast))
+            np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, avoid, slow))
+            assert fast.bit_generator.state == slow.bit_generator.state
+            block, taken = sizes
+            assert block == hosts.BLOCK_WORDS_PER_ROW * 210 and 630 <= taken < block
+
     @pytest.mark.parametrize("pool", [np.arange(21), list(range(21)), range(21),
                                       [7, 3, 9]])
     def test_single_row_matches_scalar_draws(self, pool):
