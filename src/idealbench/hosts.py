@@ -743,13 +743,22 @@ class MoeadHost:
 
 # -- indicator-based host ---------------------------------------------------
 
+# 3-objective worst fronts of up to this many points take the small form of
+# hv_contributions.  Its cost grows about as k^2 and the packed form's is
+# mostly fixed: replaying the 1,987 calls of ten smsemoa-mop11-rmin trials
+# (trial seeds 5000-5009; AVX-512, OpenBLAS SkylakeX, 1 worker) through both,
+# the small form was the faster up to k = 11 (82 against 84 us a call) and
+# the packed one from k = 12 (92 against 90 us).  m = 2 keeps the packed form
+# at every k.
+SMALL_FRONT = 11
+
 
 @functools.lru_cache(maxsize=None)
 def _pair_words(k: int) -> tuple:
-    """The words of ``hv_contributions`` that depend on k alone, shaped to
-    broadcast over its [word, p, q] arrays: [word, 1, q] holds bit r when
-    r < q, [word, p, 1] when r != p; then the [p, q] mask of p != q and
-    the box ends 1..k.  Cached per k and shared, so read-only."""
+    """The words of ``_packed_contributions`` that depend on k alone, shaped
+    to broadcast over its [word, p, q] arrays: [word, 1, q] holds bit r
+    when r < q, [word, p, 1] when r != p; then the [p, q] mask of p != q
+    and the box ends 1..k.  Cached per k and shared, so read-only."""
     idx = np.arange(k)
     bits = np.zeros((2, k, -(-k // 64) * 64), dtype=bool)
     np.less(idx, idx[:, None], out=bits[0, :, :k])
@@ -764,25 +773,74 @@ def _pair_words(k: int) -> tuple:
 
 def hv_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Exclusive hypervolume contribution of each point, for 2 or 3
-    objectives.
+    objectives; NaN is rejected.
 
     The contribution of p is the volume of its box ``[p, ref]`` minus the
     hypervolume of the other points clamped into that box, ``max(q, p)``,
     after those are reduced to their non-dominated rows, one of each group
-    of equal rows.  The clamped q survives that reduction unless some r
-    other than p and q has ``max(r, p) <= max(q, p)`` together with
-    ``r < q`` or ``max(r, p) != max(q, p)``.  Since ``max(r, p) <= max(q,
-    p)`` exactly when ``r <= max(q, p)``, the rule needs, per objective j
-    and point s, only the sets of r with ``r_j <= s_j`` and ``r_j < s_j``.
-    Packed 64 r to a word, they reduce the boxes of all points at once in
-    a few word-wise operations on (words, k, k) arrays; the words that
-    depend on k alone are built once per k.  The survivors are
-    clamped and filtered in one pass, and each box is swept on Python
-    floats by ``metrics.hv_sweep``.  The result is bit-identical to the
-    earlier two-sweep reduction, which the tests keep as an oracle.
+    of equal rows.  Two forms find those survivors, and each box is then
+    swept on Python floats by ``metrics.hv_sweep``, whose result depends
+    only on the survivor set: 3-objective fronts of up to ``SMALL_FRONT``
+    points take ``_small_contributions``, one box at a time on Python
+    floats; the rest take ``_packed_contributions``, all boxes at once in
+    packed words.  Both are bit-identical to the earlier two-sweep
+    reduction, which the tests keep as an oracle.
     """
     objs = float_rows(objs)
     ref = np.asarray(ref, dtype=float)
+    if np.isnan(objs).any():
+        raise ValueError("NaN objective values have no hypervolume contribution")
+    k, m = objs.shape
+    if m == 3 and k <= SMALL_FRONT:
+        return _small_contributions(objs, ref)
+    return _packed_contributions(objs, ref)
+
+
+def _small_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``hv_contributions`` for 3 objectives, one box at a time on Python
+    floats.  The other rows inside ref are clamped into p's box and sorted
+    by (f3, f1, f2), so a row comes after every row no worse than it in all
+    three and after the rows equal to it that precede it in input order.
+    A row is kept unless a row kept before it is no worse in f1 and f2: the
+    kept rows are the non-dominated clamped rows, one of each group of
+    equal rows."""
+    bound = ref.tolist()
+    r0, r1, r2 = bound
+    rows = objs.tolist()
+    inside = [(q, row) for q, row in enumerate(rows)
+              if row[0] < r0 and row[1] < r1 and row[2] < r2]
+    out = []
+    for p, (p0, p1, p2) in enumerate(rows):
+        box = max(r0 - p0, 0.0) * max(r1 - p1, 0.0) * max(r2 - p2, 0.0)
+        kept = []
+        if p0 < r0 and p1 < r1 and p2 < r2:
+            # max(q, p) as np.maximum takes it, keyed (f3, f1, f2)
+            clamped = [(q2 if q2 >= p2 else p2, q0 if q0 >= p0 else p0,
+                        q1 if q1 >= p1 else p1)
+                       for q, (q0, q1, q2) in inside if q != p]
+            clamped.sort()
+            for z, x, y in clamped:
+                for a, b, _ in kept:
+                    if a <= x and b <= y:
+                        break
+                else:
+                    kept.append([x, y, z])
+        out.append(box - hv_sweep(kept, bound))
+    return np.array(out)
+
+
+def _packed_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``hv_contributions`` for all boxes at once in packed words.
+
+    The clamped q survives the reduction unless some r other than p and q
+    has ``max(r, p) <= max(q, p)`` together with ``r < q`` or ``max(r, p)
+    != max(q, p)``.  Since ``max(r, p) <= max(q, p)`` exactly when ``r <=
+    max(q, p)``, the rule needs, per objective j and point s, only the sets
+    of r with ``r_j <= s_j`` and ``r_j < s_j``.  Packed 64 r to a word, they
+    reduce the boxes of all points at once in a few word-wise operations on
+    (words, k, k) arrays; the words that depend on k alone are built once
+    per k.  The survivors are clamped and filtered in one pass.
+    """
     k, m = objs.shape
     earlier, other, distinct, ends = _pair_words(k)
     cols = objs.T

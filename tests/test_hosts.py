@@ -206,11 +206,19 @@ class BaselineEstimator:
         raise AssertionError(kind)
 
 
-def assert_equals_two_sweeps(objs, ref):
-    got = hv_contributions(objs, ref)
+def assert_equals_two_sweeps(objs, ref, kernel=hv_contributions):
+    got = kernel(objs, ref)
     want = two_sweep_contributions(objs, ref)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tolist() == want.tolist()
+
+
+def assert_each_form_equals_two_sweeps(objs, ref):
+    """Both private forms, whatever k; the small form takes 3 objectives
+    only."""
+    assert_equals_two_sweeps(objs, ref, hosts._packed_contributions)
+    if objs.shape[1] == 3:
+        assert_equals_two_sweeps(objs, ref, hosts._small_contributions)
 
 
 def concave_front(k, m, seed):
@@ -1063,11 +1071,62 @@ class TestContributionOracle:
     @settings(max_examples=300, deadline=None)
     @given(point_sets(QUARTERS, max_size=40))
     def test_grid_points_equal_two_sweeps(self, rows):
-        # 1 to 40 points cross the 8-, 16-, 24- and 32-bit packing
-        # boundaries; quarters give ties, duplicate rows, -0.0 and points
-        # on and past ref
+        # 1 to 40 points; 3-objective sets of up to SMALL_FRONT points take
+        # the small form, so only the 2-objective ones cross the 8-bit
+        # packing boundary in the packed form, and both cross the 16-, 24-
+        # and 32-bit ones; quarters give ties, duplicate rows, -0.0 and
+        # points on and past ref
         objs = np.asarray(rows, dtype=float)
         assert_equals_two_sweeps(objs, np.ones(objs.shape[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(QUARTERS, max_size=40))
+    def test_grid_points_equal_two_sweeps_in_each_form(self, rows):
+        # the same points through each form at every k
+        objs = np.asarray(rows, dtype=float)
+        assert_each_form_equals_two_sweeps(objs, np.ones(objs.shape[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(st.floats(0.0, 1.3), max_size=2 * hosts.SMALL_FRONT))
+    def test_real_points_equal_two_sweeps_in_each_form(self, rows):
+        # sums that round: a dominated row left in a box, or one of its
+        # survivors dropped, moves the sweep's last bits
+        objs = np.asarray(rows, dtype=float)
+        assert_each_form_equals_two_sweeps(objs, np.full(objs.shape[1], 1.1))
+
+    @pytest.mark.parametrize("k, form", [
+        (hosts.SMALL_FRONT, "_small_contributions"),
+        (hosts.SMALL_FRONT + 1, "_packed_contributions")])
+    def test_small_front_boundary_equals_two_sweeps(self, k, form):
+        objs = make_rng(k).integers(0, 6, (k, 3)) / 4
+        ref = np.ones(3)
+        with mock.patch.object(hosts, form, wraps=getattr(hosts, form)) as spy:
+            assert_equals_two_sweeps(objs, ref)
+        assert spy.call_count == 1
+        assert_each_form_equals_two_sweeps(objs, ref)
+
+    @pytest.mark.parametrize("m, k", [(2, 4), (3, 4), (3, hosts.SMALL_FRONT + 1)])
+    def test_nan_row_is_rejected(self, m, k):
+        objs = make_rng(k).random((k, m))
+        objs[k // 2, m - 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            hv_contributions(objs, np.full(m, 1.1))
+
+    @pytest.mark.parametrize("k", [2, 7, hosts.SMALL_FRONT, 20])
+    def test_infinite_on_and_past_ref_rows_equal_in_both_forms(self, k):
+        # entries of -inf, +inf, exactly ref and past ref, some in rows
+        # that repeat another row; NaN results must match too
+        rng = make_rng(k)
+        ref = np.ones(3)
+        for _ in range(50):
+            objs = rng.integers(0, 5, (k, 3)) / 4
+            cells = rng.integers(0, k * 3, size=k)
+            objs.flat[cells] = rng.choice([-np.inf, np.inf, 1.0, 1.25], size=k)
+            objs[rng.integers(0, k)] = objs[rng.integers(0, k)]
+            with np.errstate(invalid="ignore"):  # inf * 0 in the packed boxes
+                packed = hosts._packed_contributions(objs, ref)
+            small = hosts._small_contributions(objs, ref)
+            assert packed.tobytes() == small.tobytes()
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", [63, 64, 65, 128, 129])

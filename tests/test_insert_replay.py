@@ -10,8 +10,10 @@ after a variation call the children and the generator's state must be; an
 evaluation's objectives must be.  The recorded inserts have to cover a
 dropped newcomer, a cascade through the levels, a dropped extreme, a worst
 front of one point and one of more than 64 points (two words per set), and
-the variation calls one whose mutation draw mutates nothing, one that
-mutates two or more entries and one whose child is clamped onto a bound.
+3-objective worst fronts of 2 to `hosts.SMALL_FRONT` points and of more
+(the small and the packed form of `hv_contributions`), and the variation
+calls one whose mutation draw mutates nothing, one that mutates two or
+more entries and one whose child is clamped onto a bound.
 The trials take in a 3-objective instance with a distance centre (`mop13`)
 and an inverted one (`mop11-inv`), whose one-row evaluations take the
 ratio, anchor and inversion steps.  The replay runs once in this process
@@ -27,7 +29,8 @@ from idealbench import generator, hosts
 from idealbench.bench import RunConfig, run_trial
 from idealbench.core import make_rng
 from idealbench.generator import GeneratedProblem
-from idealbench.hosts import EstimatorConfig, HostConfig, SmsEmoaHost
+from idealbench.hosts import (SMALL_FRONT, EstimatorConfig, HostConfig,
+                              SmsEmoaHost)
 
 from . import reference_insert
 from .dispatch import check_without_avx512
@@ -47,8 +50,9 @@ TRIALS = {
 }
 STATE = ("pop_x", "pop_f", "level", "lo", "hi")
 COVERAGE = ("dropped newcomer", "cascade", "dropped extreme",
-            "worst front of one", "worst front over 64", "nothing mutated",
-            "two or more mutated", "clamped at a bound")
+            "worst front of one", "worst front over 64",
+            "worst front of 2 to SMALL_FRONT", "worst front over SMALL_FRONT",
+            "nothing mutated", "two or more mutated", "clamped at a bound")
 
 
 def recorded_calls(name: str) -> tuple:
@@ -105,7 +109,7 @@ def replay_insert(record) -> tuple:
             if field_bytes(getattr(mine, key)) != field_bytes(getattr(ref, key))]
 
     old_f, old_level = state["pop_f"], state["level"]
-    k = old_f.shape[0]
+    k, m = old_f.shape
     level = reference_insert._level_after_insert(old_f, old_level, f)
     worst = np.count_nonzero(level == level.max())
     covered = {
@@ -113,6 +117,8 @@ def replay_insert(record) -> tuple:
         "cascade": bool((level[:k] != old_level).any()),
         "worst front of one": worst == 1,
         "worst front over 64": worst > 64,
+        "worst front of 2 to SMALL_FRONT": m == 3 and 2 <= worst <= SMALL_FRONT,
+        "worst front over SMALL_FRONT": m == 3 and worst > SMALL_FRONT,
         "dropped extreme": False,
     }
     if ref.pop_f is not members:
