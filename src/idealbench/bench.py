@@ -322,8 +322,8 @@ def summarize(records: list) -> dict:
 def load_raw(path: str | Path) -> list:
     """Parse an emitted raw CSV back into records (without populations).
 
-    A missing column, a short row or a value that does not parse raises
-    ``ValueError`` naming the file and what is wrong.
+    A missing column, a short or long row or a value that does not parse
+    raises ``ValueError`` naming the file and what is wrong.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -335,6 +335,8 @@ def load_raw(path: str | Path) -> list:
             try:
                 if None in row.values():
                     raise ValueError("too few fields")
+                if None in row:  # DictReader files the extras under None
+                    raise ValueError("too many fields")
                 rows.append(RunRecord(
                     problem=row["problem"], host=row["host"],
                     estimator=row["estimator"], seed=int(row["seed"]),

@@ -29,9 +29,9 @@ ESTIMATOR_KINDS = ("running-min", "ut", "drp", "eie", "eie-separate")
 WEIGHT_FLOOR = 1e-6
 RANGE_GUARD = 1e-12
 MATE_NEIGHBORHOOD_PROB = 0.9  # MOEA/D mates within the neighbourhood
-# draws per row in a triplet call's first block (words for pools of mixed
-# sizes, values for pools of one size): a row of a k-member pool takes
-# k/k + k/(k-1) + k/(k-2) on average, 3.36 at k = 10 and 3.03 at k = 210
+# words per row in the first block of the triplet draw's word replay: a row
+# of a k-member pool takes k/k + k/(k-1) + k/(k-2) values on average (3.36
+# at k = 10), and a word Lemire's method rejects takes one more
 BLOCK_WORDS_PER_ROW = 4
 DE_F = 0.5  # DE/rand/1 scale factor
 DE_CR = 0.9  # binomial crossover rate
@@ -58,6 +58,13 @@ class HostConfig:
         if self.kind == "nsga2" and size < 4:
             # each row mates from the population less its base: 3 or more members
             raise ValueError(f"nsga2 needs a population of at least 4 to breed, not {size}")
+        if self.kind == "moead":
+            # the population is the weight lattice, which m = 3 snaps down
+            points = simplex_lattice_weights(m, size).shape[0]
+            if points <= m:
+                raise ValueError(
+                    f"population must exceed the objective count: {size} gives "
+                    f"moead a lattice of {points} weight vectors for {m} objectives")
 
 
 @dataclass(frozen=True)
@@ -117,14 +124,11 @@ def de_pm_offspring(
 
     All three parent arguments are (k, n) batches; rows pair up.  One row
     takes ``_one_child``, whose child and draws are byte for byte the batch
-    body's; no rows draw nothing.
+    body's; no rows give a (0, n) batch and draw nothing.
     """
     base = float_rows(base)
-    k, n = base.shape
-    if k == 1:
+    if base.shape[0] == 1:
         return _one_child(base, diff_a, diff_b, rng, bounds)
-    if not k:
-        return np.empty((0, n))
     return _de_pm_rows(base, diff_a, diff_b, rng, bounds)
 
 
@@ -195,29 +199,31 @@ def _distinct_triplets(
 
     Each draw is the value of a scalar ``rng.integers(0, len(pool))``, and
     the generator ends in the state those scalar calls leave.  Draws come
-    in blocks, since a block costs far more than its draws.  The first
-    block holds ``BLOCK_WORDS_PER_ROW`` draws a row, more than most calls
-    take; when the call ends inside it, the generator goes back to its
-    state before the block and draws again only the draws taken.  Every
-    row takes at least three values, so the values still owed are a lower
-    bound on the draws to come, and a block drawn when the first runs out
-    holds only that many.
+    in blocks, since a block costs far more than its draws.
 
-    When every pool has the same size k (NSGA-II's and SMS-EMOA's full
-    pools), a block is ``rng.integers(0, k, size=...)``, whose values are
-    the scalar calls' values.  Pools of mixed sizes (MOEA/D's
-    neighbourhoods beside full pools) replay the raw 32-bit words those
-    calls consume instead, since a block of values cannot span two bounds.
-    NumPy bounds a word x by Lemire's multiply-and-reject ("Fast random
-    integer generation in an interval", ACM TOMACS 29(1), 2019): with
-    m = x * k, it rejects x while the low half of m is below
-    (2**32 - k) % k and returns m >> 32.  Every value costs at least one
-    word.  ``_word_values`` works out each word's value at every pool size
-    once per block, so the row loop only indexes.  A row whose next three
-    values are valid, distinct and miss its avoided member takes them at
-    once; any other row takes them one at a time, skipping rejected words.
-    The replay holds for pools of up to 2**32 members, where NumPy takes
-    32-bit words.  ``_equal_size_triplets`` draws from pools of one size.
+    When every row's pool is the same ``range(0, k)`` object (NSGA-II's and
+    SMS-EMOA's full pools), each value is its own member: a block is
+    ``rng.integers(0, k, size=...)``, whose values are the scalar calls'
+    values, and two or more rows take ``_triplet_values``' array passes;
+    one row takes ``_scalar_row`` at once, which is faster than a pass.
+
+    Any other call (MOEA/D's neighbourhoods beside full pools) replays the
+    raw 32-bit words the scalar calls consume, since a block of values
+    cannot span two bounds.  NumPy bounds a word x by Lemire's
+    multiply-and-reject ("Fast random integer generation in an interval",
+    ACM TOMACS 29(1), 2019): with m = x * k, it rejects x while the low
+    half of m is below (2**32 - k) % k and returns m >> 32.  Every value
+    costs at least one word.  The first block holds ``BLOCK_WORDS_PER_ROW``
+    words a row, more than most calls take; when the call ends inside it,
+    the generator goes back to its state before the block and draws again
+    only the words taken.  Every row takes at least three values, so the
+    values still owed are a lower bound on the words to come, and a block
+    drawn when the first runs out holds only that many.  ``_word_values``
+    works out each word's value at every pool size once per block, so the
+    row loop only indexes.  A row whose next three values are valid,
+    distinct and miss its avoided member takes them at once; any other row
+    takes them one at a time, skipping rejected words.  The replay holds
+    for pools of up to 2**32 members, where NumPy takes 32-bit words.
     """
     sizes = [len(pool) for pool in pools]
     bases = avoid.tolist() if avoid is not None else [None] * len(pools)
@@ -226,10 +232,14 @@ def _distinct_triplets(
             # checked before any draw, so a rejected call leaves rng untouched
             if sizes[row] < 4 and sizes[row] - (bases[row] in pool) < 3:
                 raise ValueError(f"row {row}: fewer than 3 members to draw from")
-    size_set = set(sizes)
-    if len(size_set) == 1:
-        return _equal_size_triplets(pools, avoid, sizes[0], rng)
     rows = len(pools)
+    first = pools[0]
+    if type(first) is range and first.start == 0 and first.step == 1 and all(
+            pool is first for pool in pools):
+        if rows > 1:
+            return _triplet_values(rows, avoid, sizes[0], rng)
+        return np.array([_scalar_row(bases[0], (), 0, 3, sizes[0], rng)[0]])
+    size_set = set(sizes)
     out = []
     saved = rng.bit_generator.state  # the first block's give-back
     end = BLOCK_WORDS_PER_ROW * rows
@@ -286,39 +296,6 @@ def _word_values(words: np.ndarray, sizes) -> dict:
     return out
 
 
-def _equal_size_triplets(pools: list, avoid: np.ndarray, k: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """``_distinct_triplets`` of pools that all hold k members.
-
-    Rows are drawn as values in [0, k), each naming its row's member.  A
-    pool's members are distinct, so two members are equal just when their
-    values are, and a row's avoided member becomes the value that names it
-    (-1 if none does).  Two or more rows take ``_triplet_values``' array
-    passes; one row takes the scalar rule at once, which is faster than a
-    pass.
-    """
-    rows = len(pools)
-    first = pools[0]
-    if type(first) is range and first.start == 0 and first.step == 1 and (
-            rows == 1 or all(pool is first for pool in pools)):
-        table = None  # each value is its own member
-        skip = avoid
-    else:
-        table = np.asarray(pools)  # row r's member for value v: table[r, v]
-        skip = None
-        if avoid is not None:
-            hit = table == avoid[:, None]
-            skip = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    if rows > 1:
-        out = _triplet_values(rows, skip, k, rng)
-    else:
-        base = None if skip is None else skip.item(0)
-        out = np.array([_scalar_row(base, (), 0, 3, k, rng)[0]])
-    if table is None:
-        return out
-    return table[np.arange(rows)[:, None], out].astype(int, copy=False)
-
-
 def _triplet_values(rows: int, skip: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Three distinct values in [0, k) for each of ``rows`` rows, none equal
@@ -327,15 +304,15 @@ def _triplet_values(rows: int, skip: np.ndarray, k: int,
     A pass assumes each row takes its next three values and accepts the
     rows up to the first one whose values repeat one or hit its skipped
     value.  That row, or one whose values run past the block, takes
-    ``_scalar_row``, and the pass resumes after it.  The first block gives
-    back the values it leaves unused, as in ``_distinct_triplets``.
+    ``_scalar_row``, and the pass resumes after it.  Every row takes at
+    least three values, so each block holds exactly the values still owed
+    (3 * rows at first): the call never draws a value it does not take.
     """
     skips = [None] * rows if skip is None else skip.tolist()
     skip3 = None if skip is None else np.repeat(skip, 3)
     out = np.empty((rows, 3), dtype=int)
     owed = 3 * rows  # the fewest values still to come
-    saved = rng.bit_generator.state  # the first block's give-back
-    values = first = rng.integers(0, k, size=BLOCK_WORDS_PER_ROW * rows)
+    values = rng.integers(0, k, size=owed)
     repeat = _repeats(values)
     pos = row = 0
     while row < rows:
@@ -363,11 +340,6 @@ def _triplet_values(rows: int, skip: np.ndarray, k: int,
             repeat = _repeats(values)
         row += 1
         owed -= 3
-    if values is first:
-        # back to the state before the first block, then forward by the
-        # values taken: the state the scalar calls leave
-        rng.bit_generator.state = saved
-        rng.integers(0, k, size=pos)
     return out
 
 
@@ -882,15 +854,6 @@ def _packed_contributions(objs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _least_contributor(front: np.ndarray, ref: np.ndarray) -> int:
-    """Position, within the worst front's objective rows, of the member
-    SMS-EMOA drops: the only one, else the smallest exclusive hypervolume
-    contributor (the first on ties)."""
-    if front.shape[0] == 1:
-        return 0
-    return int(np.argmin(hv_contributions(front, ref)))
-
-
 def _level_after_insert(objs: np.ndarray, level: np.ndarray,
                         row: np.ndarray) -> np.ndarray:
     """Non-domination levels of ``objs`` with ``row`` appended, from the
@@ -976,7 +939,8 @@ class SmsEmoaHost:
                 front = pop_f[worst]
             front -= lo
             front /= np.maximum(hi - lo, RANGE_GUARD)
-            drop = int(worst[_least_contributor(front, self.ref)])
+            # the smallest exclusive contributor, the first on ties
+            drop = int(worst[np.argmin(hv_contributions(front, self.ref))])
         if drop == k:
             # the rows the newcomer moved sit below it, so on the last level
             # it moved none: the members and their levels stay as they were

@@ -1045,6 +1045,8 @@ class TestCli:
          "line 2: could not convert string to float: 'abc'"),
         (",".join(bench.RAW_COLUMNS) + "\nmop1,moead,eie,0,1000,0.1,0.5,0\nmop1,moead\n",
          "line 3: too few fields"),
+        (",".join(bench.RAW_COLUMNS) + "\nmop1,moead,eie,0,1000,0.1,0.5,0,EXTRA\n",
+         "line 2: too many fields"),
     ])
     def test_report_on_bad_results_is_a_usage_error(self, raw, message, tmp_path):
         # each ended in a FileNotFoundError, KeyError or ValueError traceback

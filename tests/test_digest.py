@@ -7,8 +7,11 @@ that moves either digest moves a fixed-seed output; one that does so on
 purpose updates the pinned value and says why.
 """
 
+import ctypes
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idealbench.bench import (RunConfig, default_population_size, emit,
@@ -86,16 +89,31 @@ def full_precision_digest(records: list) -> str:
     return h.hexdigest()
 
 
+def openblas_core() -> str:
+    """The runtime core of the OpenBLAS bundled in ``numpy.libs/``, or
+    "unknown" where that library or its query is missing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*.so*"))))
+        corename = lib.scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    except (StopIteration, OSError, AttributeError, UnicodeDecodeError):
+        return "unknown"
+
+
 def dispatch_note() -> str:
-    """The message of a failed pin.  The pins were taken where NumPy runs
-    its X86_V4 (AVX-512) kernels, whose ``power``, ``exp`` and ``log``
-    differ from libm's in the last place, so they name this process's flag."""
+    """The message of a failed pin, naming both numeric axes.  The pins were
+    taken where NumPy runs its X86_V4 (AVX-512) kernels, whose ``power``,
+    ``exp`` and ``log`` differ from libm's in the last place, and OpenBLAS
+    runs its SkylakeX kernels, which CMA-ES's products and ``eigh`` use."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
         flag = __cpu_features__.get("X86_V4", "unknown")
     except ImportError:
         flag = "unknown"
-    return f"pinned with NumPy's X86_V4 dispatch; this process has X86_V4={flag}"
+    return ("pinned with NumPy's X86_V4 dispatch and OpenBLAS's SkylakeX core; "
+            f"this process has X86_V4={flag} and OpenBLAS core {openblas_core()}")
 
 
 def test_digest_grid_has_88_cells():

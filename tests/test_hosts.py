@@ -163,7 +163,7 @@ def smsemoa_select(objs: np.ndarray, count: int, ref: np.ndarray) -> np.ndarray:
     alive = np.arange(objs.shape[0])
     while alive.size > count:
         worst = fast_non_dominated_sort(objs[alive])[-1]
-        drop = worst[hosts._least_contributor(objs[alive][worst], ref)]
+        drop = worst[np.argmin(hv_contributions(objs[alive][worst], ref))]
         alive = np.delete(alive, drop)
     return alive
 
@@ -343,11 +343,25 @@ class TestDistinctTriplets:
         self.assert_matches_scalar([np.arange(211)] * 211, avoid, seed)
         self.assert_matches_scalar([range(211)] * 211, avoid, seed)
 
+    @staticmethod
+    def owed_before_each_draw(pools, avoid, rng):
+        """The scalar rule's draws, as the number of values still owed (at
+        least three a row to come) before each one."""
+        owed = []
+        for row, pool in enumerate(pools):
+            chosen = []
+            while len(chosen) < 3:
+                owed.append(3 * (len(pools) - row) - len(chosen))
+                cand = int(pool[rng.integers(0, len(pool))])
+                if cand != avoid[row] and cand not in chosen:
+                    chosen.append(cand)
+        return owed
+
     @pytest.mark.parametrize("seed", range(4))
     def test_nsga2_call_draws_one_block(self, seed):
-        # a 210-row call takes about 3.03 values a row: all of them from
-        # the first block, which then gives back those it left unused, so
-        # the generator draws that block and the values taken, nothing more
+        # a 210-row call draws one block of the 630 values owed, then, each
+        # time a block runs out, one of exactly the values still owed: the
+        # generator draws only the values the scalar calls take
         sizes = []
 
         class IntegersSpy:
@@ -360,15 +374,20 @@ class TestDistinctTriplets:
                 return self.rng.integers(low, high, size=size)
 
         pools = [range(210)] * 210
-        fast, slow = make_rng(seed), make_rng(seed)
+        fast, slow, counted = make_rng(seed), make_rng(seed), make_rng(seed)
+        refills = 0
         for call in range(10):
             avoid = make_rng(400 + 10 * seed + call).integers(0, 210, size=210)
             sizes.clear()
             got = hosts._distinct_triplets(pools, avoid, IntegersSpy(fast))
             np.testing.assert_array_equal(got, scalar_distinct_triplets(pools, avoid, slow))
             assert fast.bit_generator.state == slow.bit_generator.state
-            block, taken = sizes
-            assert block == hosts.BLOCK_WORDS_PER_ROW * 210 and 630 <= taken < block
+            owed = self.owed_before_each_draw(pools, avoid, counted)
+            assert sizes[0] == 630 and sum(sizes) == len(owed)
+            starts = np.cumsum([0] + sizes[:-1]).tolist()
+            assert sizes == [owed[at] for at in starts]
+            refills += len(sizes) - 1
+        assert refills
 
     @pytest.mark.parametrize("pool", [np.arange(21), list(range(21)), range(21),
                                       [7, 3, 9]])
@@ -386,7 +405,8 @@ class TestDistinctTriplets:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("k", [4, 7, 50, 210])
     def test_equal_size_lists_and_arrays_match_scalar_draws(self, k, seed):
-        # pools of one size take NumPy's value blocks, whatever their type
+        # pools of one size that are not one shared range take the word
+        # replay, whatever their type
         rng = make_rng(300 + seed)
         pools = [rng.permutation(k) + 1000 for _ in range(k)]
         avoid = np.array([pool[rng.integers(0, k)] for pool in pools])
@@ -413,9 +433,9 @@ class TestDistinctTriplets:
                 self.bit_generator = rng.bit_generator
                 self.rng = rng
 
-            def integers(self, low, high, size=None):
+            def integers(self, low, high, size=None, dtype=np.int64):
                 sizes.append(size)
-                return self.rng.integers(low, high, size=size)
+                return self.rng.integers(low, high, size=size, dtype=dtype)
 
         pools = [self.typed_pool(kind, k)] * 6
         fast, slow = make_rng(40 + k), make_rng(40 + k)
@@ -510,7 +530,7 @@ class TestDistinctTriplets:
     @pytest.mark.parametrize("prob", [1.0, hosts.MATE_NEIGHBORHOOD_PROB])
     def test_moead_steps_match_scalar_draws(self, prob, monkeypatch):
         # at probability 1 every row mates in its neighbourhood: pools of
-        # one size, as lists, which take _equal_size_triplets' table path
+        # one size, as lists, which take the word replay like mixed sizes
         calls = []
         draw = hosts._distinct_triplets
 
@@ -1359,6 +1379,31 @@ class TestHostsEndToEnd:
         assert (host.pop_x.tobytes(), host.pop_f.tobytes(),
                 host.z_ref.tobytes()) == before
 
+    @pytest.mark.parametrize("kind", ["nsga2", "moead", "smsemoa"])
+    def test_traced_kernels_are_looked_up_in_the_module(self, kind, monkeypatch):
+        # the benchmark's tracer replaces these module globals, so the hosts
+        # must reach them through the module to be seen
+        calls = {}
+        for name in ("_distinct_triplets", "de_pm_offspring", "hv_contributions"):
+            def counted(*args, _name=name, _fn=getattr(hosts, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(hosts, name, counted)
+        problem = get_problem("mop11")
+        rng = make_rng(15)
+        budget = EvaluationBudget(100, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind=kind, population_size=20),
+                         budget, rng)
+        host.step(OffspringBatch.empty(problem.n, problem.m), budget, rng)
+        assert calls["_distinct_triplets"] and calls["de_pm_offspring"]
+        if kind == "smsemoa":
+            host = stub_smsemoa(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            calls.clear()
+            host._insert(np.zeros(1), np.array([2.0, 2.0]))  # a worst front of one
+            assert not calls
+            host._insert(np.zeros(1), np.array([0.5, 0.5]))  # a worst front of three
+            assert calls == {"hv_contributions": 1}
+
     def test_budget_exhaustion_mid_step(self):
         problem = get_problem("mop1")
         rng = make_rng(14)
@@ -1488,3 +1533,21 @@ class TestBaselineEstimators:
         with pytest.raises(ValueError):
             make_host(problem, HostConfig(kind="nsga2", population_size=3),
                       budget, make_rng(18))
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_moead_lattice_must_exceed_objectives(self, size):
+        # on 3 objectives 4 and 5 snap to the 3-point lattice; rejected
+        # before the initial population is paid for
+        problem = get_problem("mop11")
+        budget = EvaluationBudget(100, _eval=problem.evaluate_batch)
+        with pytest.raises(ValueError, match="lattice of 3 weight vectors"):
+            make_host(problem, HostConfig(kind="moead", population_size=size),
+                      budget, make_rng(18))
+        assert budget.used == 0
+
+    def test_six_member_moead_lattice_on_three_objectives(self):
+        problem = get_problem("mop11")
+        budget = EvaluationBudget(100, _eval=problem.evaluate_batch)
+        host = make_host(problem, HostConfig(kind="moead", population_size=6),
+                         budget, make_rng(18))
+        assert host.pop_f.shape == (6, 3)
